@@ -110,7 +110,8 @@ type Engine struct {
 	// actionCounts[s*NumActions+a] counts executed actions per subslot since
 	// the last ResetActionCounts (Fig. 13–15 slot-utilization
 	// instrumentation). Stored flat so it can live in the run arena next to
-	// the node's Q-table.
+	// the node's Q-table; nil in a summary-only run (mac.Config.SummaryOnly),
+	// which reads no per-node results.
 	actionCounts []uint64
 }
 
@@ -159,7 +160,9 @@ func New(cfg Config) *Engine {
 		startupInit:   cfg.StartupSubslots,
 		startupPunish: cfg.StartupPunish,
 		armedSubslot:  -1,
-		actionCounts:  scratch.Uint64s(subslots * NumActions),
+	}
+	if !cfg.MAC.SummaryOnly {
+		e.actionCounts = scratch.Uint64s(subslots * NumActions)
 	}
 	e.learner.SetReevalOnDecay(cfg.ReevalOnDecay)
 	cfg.MAC.OnOverhear = e.onOverhear
@@ -209,7 +212,7 @@ func (e *Engine) TakeRhoSample() (mean float64, n int) {
 }
 
 // ActionCounts returns a copy of the per-subslot action counters (Fig. 13–15
-// slot utilization).
+// slot utilization); empty in a summary-only run.
 func (e *Engine) ActionCounts() [][NumActions]uint64 {
 	out := make([][NumActions]uint64, len(e.actionCounts)/NumActions)
 	for s := range out {
@@ -384,7 +387,9 @@ func (e *Engine) decide(m int) {
 // execute performs the selected action.
 func (e *Engine) execute(m int, action Action) {
 	e.stats.ActionCount[action]++
-	e.actionCounts[m*NumActions+int(action)]++
+	if e.actionCounts != nil {
+		e.actionCounts[m*NumActions+int(action)]++
+	}
 	switch action {
 	case QBackoff:
 		e.pend = pending{subslot: m, action: QBackoff}

@@ -247,3 +247,23 @@ func TestScenarioBarring(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaFramePoolStaysBounded pins that replications sharing one
+// scenario.Arena recycle the GTS command frames through its frame pool
+// instead of feeding it fresh ones: back-to-back identical runs leave the
+// pool at the same size, so a long sweep's memory stays flat.
+func TestArenaFramePoolStaysBounded(t *testing.T) {
+	arena := scenario.NewArena()
+	var sizes []int
+	for range 3 {
+		cfg := twoNodeConfig(scenario.QMA, 5)
+		cfg.Arena = arena
+		RunScenario(cfg)
+		pool, _ := arena.Begin()
+		sizes = append(sizes, pool.Size())
+	}
+	t.Logf("pool sizes after each run: %v", sizes)
+	if sizes[2] != sizes[1] {
+		t.Errorf("frame pool grew from run to run: %v", sizes)
+	}
+}

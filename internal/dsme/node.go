@@ -51,8 +51,9 @@ type NodeConfig struct {
 	NeighborExpiry sim.Time
 	// Metrics aggregates network-wide counters; required.
 	Metrics *Metrics
-	// FramePool, when non-nil, recycles the node's immediate GTS ACKs. It
-	// may be shared with the CAP engines of the same kernel.
+	// FramePool, when non-nil, recycles the node's immediate GTS ACKs and
+	// supplies its GTS command frames, which the CAP engine returns to it.
+	// It may be shared with the CAP engines of the same kernel.
 	FramePool *frame.Pool
 }
 
@@ -527,7 +528,8 @@ func (n *Node) startDeallocation(g superframe.GTS) {
 }
 
 func (n *Node) sendRequest(hs *handshake) {
-	req := &frame.Frame{
+	req := n.cfg.FramePool.Get()
+	*req = frame.Frame{
 		Kind:      frame.GTSRequest,
 		Src:       n.cfg.ID,
 		Dst:       n.cfg.Parent,
@@ -615,7 +617,8 @@ func (n *Node) handleRequest(from frame.NodeID, req Request) {
 			n.pending[req.ID] = pend
 		}
 	}
-	resp := &frame.Frame{
+	resp := n.cfg.FramePool.Get()
+	*resp = frame.Frame{
 		Kind:      frame.GTSResponse,
 		Src:       n.cfg.ID,
 		Dst:       frame.Broadcast,
@@ -668,7 +671,8 @@ func (n *Node) handleResponse(resp Response) {
 }
 
 func (n *Node) sendNotify(hs *handshake, responder frame.NodeID) {
-	nf := &frame.Frame{
+	nf := n.cfg.FramePool.Get()
+	*nf = frame.Frame{
 		Kind:      frame.GTSNotify,
 		Src:       n.cfg.ID,
 		Dst:       frame.Broadcast,

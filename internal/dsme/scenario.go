@@ -210,6 +210,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 			Kernel:  kernel,
 			Rng:     sim.NewRandStream(cfg.Seed, 3000+uint64(i)),
 			Target:  nodes[i].CAP(),
+			Pool:    pool,
 			Origin:  frame.NodeID(i),
 			Period:  cfg.BroadcastPeriod,
 			StartAt: 2 * sim.Second,

@@ -195,10 +195,19 @@ type Config struct {
 	// Drop selects the transmit-queue overflow policy (zero: TailDrop, the
 	// pre-existing behaviour).
 	Drop DropPolicy
+	// SummaryOnly marks a run that collects no per-node results. Engines
+	// then skip the instrumentation only those results read (QMA's
+	// per-subslot action counters, Fig. 13–15); simulated behaviour is
+	// unchanged.
+	SummaryOnly bool
 	// DropDeadline is the DeadlineDrop age limit (0 selects 16 superframes
 	// ≈ 2 s, the neighbour-staleness horizon).
 	DropDeadline sim.Time
 }
+
+// neighborCacheInvalid marks the cached neighbour mean stale: it lies below
+// every reachable cutoff.
+const neighborCacheInvalid sim.Time = -1 << 63
 
 type neighborLevel struct {
 	level uint8
@@ -262,6 +271,15 @@ type Base struct {
 	// neighbour (piggybacked in every frame, §4.2) with its reception time.
 	neighborQueue map[frame.NodeID]neighborLevel
 
+	// neighborMean caches AvgNeighborQueue's last result. It holds while no
+	// entry was written since (Deliver and Reboot set neighborOldest to
+	// neighborCacheInvalid) and none can have expired: the cutoff is at or
+	// below neighborOldest, the oldest retained reception time. A
+	// backlogged node reads the mean at every subslot but overhears a frame
+	// far less often.
+	neighborMean   float64
+	neighborOldest sim.Time
+
 	// lastSeq tracks the highest delivered sequence number per origin for
 	// duplicate rejection.
 	lastSeq map[frame.NodeID]uint32
@@ -300,12 +318,13 @@ func NewBase(cfg Config) *Base {
 		qcap = frame.DefaultQueueCap
 	}
 	b := &Base{
-		cfg:           cfg,
-		queue:         frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
-		barP:          1,
-		neighborQueue: make(map[frame.NodeID]neighborLevel),
-		lastSeq:       make(map[frame.NodeID]uint32),
-		hasSeq:        make(map[frame.NodeID]bool),
+		cfg:            cfg,
+		queue:          frame.NewQueueOn(qcap, cfg.Scratch.Frames(qcap+1)),
+		barP:           1,
+		neighborQueue:  make(map[frame.NodeID]neighborLevel),
+		neighborOldest: neighborCacheInvalid,
+		lastSeq:        make(map[frame.NodeID]uint32),
+		hasSeq:         make(map[frame.NodeID]bool),
 	}
 	b.ackStartFn = func(a any) { b.transmitAck(a.(*frame.Frame)) }
 	b.ackDoneFn = func(a any) { b.cfg.FramePool.Put(a.(*frame.Frame)) }
@@ -483,6 +502,7 @@ func (b *Base) Reboot() {
 		b.signalDone(f, false)
 	}
 	clear(b.neighborQueue)
+	b.neighborOldest = neighborCacheInvalid
 	clear(b.lastSeq)
 	clear(b.hasSeq)
 	// Barring state is volatile too: a freshly booted node has not heard a
@@ -579,8 +599,14 @@ func (b *Base) ResetQueueIntegral() {
 // freeze parameter-based exploration in a saturated network.
 func (b *Base) AvgNeighborQueue() float64 {
 	cutoff := b.cfg.Kernel.Now() - b.cfg.NeighborStaleAfter
+	if cutoff <= b.neighborOldest {
+		return b.neighborMean
+	}
+	// The levels are uint8, so the sum is exact in any iteration order and
+	// the mean is bit-identical from walk to walk.
 	var sum float64
 	n := 0
+	oldest := sim.Never
 	for id, l := range b.neighborQueue {
 		if l.at < cutoff {
 			delete(b.neighborQueue, id)
@@ -588,11 +614,14 @@ func (b *Base) AvgNeighborQueue() float64 {
 		}
 		sum += float64(l.level)
 		n++
+		oldest = min(oldest, l.at)
 	}
-	if n == 0 {
-		return 0
+	b.neighborMean = 0
+	if n > 0 {
+		b.neighborMean = sum / float64(n)
 	}
-	return sum / float64(n)
+	b.neighborOldest = oldest
+	return b.neighborMean
 }
 
 // SendFrame transmits f now at the reference (maximum) power and reports
@@ -750,6 +779,7 @@ func (b *Base) Deliver(f *frame.Frame) {
 	}
 	if f.Kind != frame.Ack && f.Src != b.cfg.ID {
 		b.neighborQueue[f.Src] = neighborLevel{level: f.QueueLevel, at: now}
+		b.neighborOldest = neighborCacheInvalid
 	}
 
 	switch {

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math"
 	"testing"
 
 	"qma/internal/frame"
@@ -267,6 +268,85 @@ func TestNeighborQueueStaleness(t *testing.T) {
 	if got := b.AvgNeighborQueue(); got != 0 {
 		t.Fatalf("stale AvgNeighborQueue = %v, want 0", got)
 	}
+}
+
+// TestAvgNeighborQueueMatchesWalk checks the cached neighbour mean against
+// a fresh walk of a reference table. Random scripts interleave overheard
+// frames (refreshes of live entries, ACKs and the node's own frames
+// included), clock advances that land exactly on an entry's expiry edge or
+// one tick past it, reboots and reads; every read must be bit-equal to the
+// walk.
+func TestAvgNeighborQueueMatchesWalk(t *testing.T) {
+	const stale = sim.Time(1000)
+	const srcs = 6
+	walk := func(ref map[frame.NodeID]neighborLevel, cutoff sim.Time) float64 {
+		var sum float64
+		n := 0
+		for id, l := range ref {
+			if l.at < cutoff {
+				delete(ref, id)
+				continue
+			}
+			sum += float64(l.level)
+			n++
+		}
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
+	}
+	var hits, walks int
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := newRig(t, 2, []Config{{NeighborStaleAfter: stale}})
+		b := r.bases[0]
+		rng := sim.NewRand(seed)
+		ref := map[frame.NodeID]neighborLevel{}
+		for step := 0; step < 2000; step++ {
+			now := r.k.Now()
+			switch op := rng.Intn(10); {
+			case op < 4:
+				f := &frame.Frame{Kind: frame.Data, Src: frame.NodeID(rng.Intn(srcs + 1)), Dst: 9,
+					QueueLevel: uint8(rng.Intn(256))}
+				if rng.Intn(8) == 0 {
+					f.Kind = frame.Ack
+				}
+				b.Deliver(f)
+				if f.Kind != frame.Ack && f.Src != b.ID() {
+					ref[f.Src] = neighborLevel{level: f.QueueLevel, at: now}
+				}
+			case op < 7:
+				to := now + sim.Time(rng.Intn(int(stale/4)))
+				var edges []sim.Time
+				for id := frame.NodeID(1); id <= srcs; id++ {
+					if l, ok := ref[id]; ok && l.at+stale >= now {
+						edges = append(edges, l.at+stale+sim.Time(rng.Intn(2)))
+					}
+				}
+				if len(edges) > 0 && rng.Intn(2) == 0 {
+					to = edges[rng.Intn(len(edges))]
+				}
+				r.k.Run(to)
+			case op == 7:
+				b.Reboot()
+				clear(ref)
+			default:
+				cutoff := now - stale
+				if cutoff <= b.neighborOldest {
+					hits++
+				} else {
+					walks++
+				}
+				got, want := b.AvgNeighborQueue(), walk(ref, cutoff)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d step %d at %v: AvgNeighborQueue = %v, walk = %v", seed, step, now, got, want)
+				}
+			}
+		}
+	}
+	if hits == 0 || walks == 0 {
+		t.Fatalf("script exercised %d cached and %d walked reads, want both", hits, walks)
+	}
+	t.Logf("%d cached and %d walked reads", hits, walks)
 }
 
 func TestCommandHook(t *testing.T) {

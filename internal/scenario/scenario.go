@@ -653,6 +653,7 @@ func (r *run) macConfig(id frame.NodeID) mac.Config {
 		Router:       r.cfg.Network,
 		FramePool:    r.pool,
 		Scratch:      r.scratch,
+		SummaryOnly:  r.cfg.SummaryOnly,
 		BarringRng:   barringRng,
 		Drop:         r.cfg.DropPolicy,
 		DropDeadline: r.cfg.DropDeadline,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"qma/internal/core"
 	"qma/internal/frame"
 	"qma/internal/radio"
 	"qma/internal/sim"
@@ -236,6 +237,54 @@ func TestSummaryOnlyMatchesFullRun(t *testing.T) {
 	}
 	if del == 0 {
 		t.Fatal("degenerate run: nothing delivered")
+	}
+}
+
+// TestSummaryOnlyCarvesNoActionCounts pins that a summary-only QMA run
+// carves no per-subslot action counters, since nothing reads them, while a
+// full run still fills NodeResult.ActionCounts (the Fig. 13–15 path) in
+// agreement with the engines' per-action totals.
+func TestSummaryOnlyCarvesNoActionCounts(t *testing.T) {
+	cfg := hiddenNodeConfig(QMA, 5, 9)
+	cfg.Duration = 20 * sim.Second
+	for i := range cfg.Traffic {
+		cfg.Traffic[i].StartAt = 1 * sim.Second
+	}
+	full := RunWithEngines(cfg)
+	cfg.SummaryOnly = true
+	lean := RunWithEngines(cfg)
+
+	var decisions uint64
+	for i, e := range lean.Engines {
+		q := e.(*core.Engine)
+		decisions += q.EngineStats().Decisions
+		if n := len(q.ActionCounts()); n != 0 {
+			t.Errorf("summary-only node %d carved %d subslot counter rows", i, n)
+		}
+	}
+	if decisions == 0 {
+		t.Fatal("degenerate summary-only run: no decisions")
+	}
+
+	subslots := full.Clock.Config().Subslots
+	var counted uint64
+	for i, node := range full.Nodes {
+		if len(node.ActionCounts) != subslots {
+			t.Fatalf("node %d has %d subslot counter rows, want %d", i, len(node.ActionCounts), subslots)
+		}
+		var perAction [core.NumActions]uint64
+		for _, row := range node.ActionCounts {
+			for a, c := range row {
+				perAction[a] += c
+				counted += c
+			}
+		}
+		if perAction != node.Engine.ActionCount {
+			t.Errorf("node %d: subslot counters sum to %v, engine totals %v", i, perAction, node.Engine.ActionCount)
+		}
+	}
+	if counted == 0 {
+		t.Fatal("full run counted no actions")
 	}
 }
 
