@@ -68,6 +68,10 @@ type Engine struct {
 
 	learner  *qlearn.Learner
 	explorer qlearn.Explorer
+	// rhoTable is explorer as its concrete type when it is the default
+	// parameter-based strategy, so decide looks ρ up without interface
+	// dispatch; nil for any other Explorer.
+	rhoTable *qlearn.ParameterBased
 	rng      *sim.Rand
 
 	startupLeft   int
@@ -153,7 +157,7 @@ func New(cfg Config) *Engine {
 	}
 
 	e := &Engine{
-		learner:       qlearn.NewLearnerOn(table, int(QBackoff), scratch.Ints(subslots)),
+		learner:       qlearn.NewLearnerOn(table, int(QBackoff), scratch.Uint8s(subslots)),
 		explorer:      explorer,
 		rng:           cfg.Rng,
 		startupLeft:   cfg.StartupSubslots,
@@ -161,6 +165,7 @@ func New(cfg Config) *Engine {
 		startupPunish: cfg.StartupPunish,
 		armedSubslot:  -1,
 	}
+	e.rhoTable, _ = explorer.(*qlearn.ParameterBased)
 	if !cfg.MAC.SummaryOnly {
 		e.actionCounts = scratch.Uint64s(subslots * NumActions)
 	}
@@ -366,11 +371,17 @@ func (e *Engine) startupObserve(m int) {
 // decide runs one Algorithm 1 step at subslot m.
 func (e *Engine) decide(m int) {
 	e.stats.Decisions++
-	rho := e.explorer.Rate(qlearn.ExploreContext{
+	ctx := qlearn.ExploreContext{
 		Now:              e.base.Kernel().Now(),
 		QueueLevel:       e.base.Queue().Len(),
 		AvgNeighborQueue: e.base.AvgNeighborQueue(),
-	})
+	}
+	var rho float64
+	if e.rhoTable != nil {
+		rho = e.rhoTable.Rate(ctx)
+	} else {
+		rho = e.explorer.Rate(ctx)
+	}
 	e.rhoSum += rho
 	e.rhoCount++
 

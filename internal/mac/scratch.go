@@ -24,7 +24,7 @@ type Scratch struct {
 	f64    slab[float64]
 	i16    slab[int16]
 	i8     slab[int8]
-	ints   slab[int]
+	u8     slab[uint8]
 	u64    slab[uint64]
 	frames slab[*frame.Frame]
 }
@@ -53,12 +53,12 @@ func (s *Scratch) Int8s(n int) []int8 {
 	return s.i8.alloc(n)
 }
 
-// Ints returns a zeroed slab slice of n ints.
-func (s *Scratch) Ints(n int) []int {
+// Uint8s returns a zeroed slab slice of n uint8s (policy rows).
+func (s *Scratch) Uint8s(n int) []uint8 {
 	if s == nil {
-		return make([]int, n)
+		return make([]uint8, n)
 	}
-	return s.ints.alloc(n)
+	return s.u8.alloc(n)
 }
 
 // Uint64s returns a zeroed slab slice of n uint64s.
@@ -89,7 +89,7 @@ func (s *Scratch) Reset() {
 	s.f64.reset()
 	s.i16.reset()
 	s.i8.reset()
-	s.ints.reset()
+	s.u8.reset()
 	s.u64.reset()
 	s.frames.reset()
 }

@@ -247,7 +247,7 @@ func New(cfg Config) *Engine {
 	}
 
 	e := &Engine{
-		learner:       qlearn.NewLearnerOn(table, e0BackoffAction, cfg.MAC.Scratch.Ints(subslots)),
+		learner:       qlearn.NewLearnerOn(table, e0BackoffAction, cfg.MAC.Scratch.Uint8s(subslots)),
 		explorer:      explorer,
 		rng:           cfg.Rng,
 		levels:        cfg.Levels,

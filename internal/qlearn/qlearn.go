@@ -161,6 +161,9 @@ func (t *FloatTable) Actions() int { return t.actions }
 
 func (t *FloatTable) idx(s, a int) int { return s*t.actions + a }
 
+// row returns the values of state s, aliasing the table.
+func (t *FloatTable) row(s int) []float64 { return t.q[s*t.actions : (s+1)*t.actions] }
+
 // Q implements Table.
 func (t *FloatTable) Q(s, a int) float64 { return t.q[t.idx(s, a)] }
 
@@ -169,7 +172,7 @@ func (t *FloatTable) SetQ(s, a int, v float64) { t.q[t.idx(s, a)] = v }
 
 // MaxQ implements Table.
 func (t *FloatTable) MaxQ(s int) float64 {
-	row := t.q[s*t.actions : (s+1)*t.actions]
+	row := t.row(s)
 	max := row[0]
 	for _, v := range row[1:] {
 		if v > max {
@@ -181,7 +184,7 @@ func (t *FloatTable) MaxQ(s int) float64 {
 
 // ArgMax implements Table.
 func (t *FloatTable) ArgMax(s int) int {
-	row := t.q[s*t.actions : (s+1)*t.actions]
+	row := t.row(s)
 	best := 0
 	for a := 1; a < len(row); a++ {
 		if row[a] > row[best] {
@@ -230,7 +233,7 @@ func (t *FloatTable) MemoryBytes() int { return len(t.q) * 8 }
 func (t *FloatTable) Snapshot() [][]float64 {
 	out := make([][]float64, t.states)
 	for s := range out {
-		out[s] = append([]float64(nil), t.q[s*t.actions:(s+1)*t.actions]...)
+		out[s] = append([]float64(nil), t.row(s)...)
 	}
 	return out
 }

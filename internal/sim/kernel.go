@@ -113,7 +113,8 @@ type tcacheEntry struct {
 // Events live in a kernel-owned arena. Same-instant events are linked into
 // FIFO chains, an index-based 4-ary min-heap orders the chain heads by
 // time, and Run drains one instant at a time into a reusable batch buffer,
-// restores the exact (early, seq) order with one sort, and dispatches
+// restores the exact (early, seq) order (sorting only a batch that arrived
+// out of order), and dispatches
 // sequentially — so the per-event cost in same-instant bursts is an append
 // and a compare, not a heap sift. Steady state performs no allocations.
 type Kernel struct {
@@ -495,11 +496,16 @@ func (k *Kernel) maybeCompact() {
 }
 
 // drain pops every chain scheduled for instant t off the heap into the
-// batch buffer and restores the exact (early, seq) firing order with one
-// sort. Chains are already seq-ordered, so for the common single-chain,
-// no-early instant the sort's presorted check is a single linear pass.
+// batch buffer and restores the exact (early, seq) firing order. Chains are
+// seq-ordered and pop in head-seq order, so the batch usually arrives
+// sorted; drain notes any pair out of order as it appends and sorts only
+// then (an early event behind a normal one, or singleton chains re-queued
+// by a cut-short Run). Keys are unique, so skipping the sort of a sorted
+// batch changes nothing.
 func (k *Kernel) drain(t Time) {
 	k.batchAt = t
+	sorted := true
+	prevEarly, prevSeq := true, uint64(0)
 	for len(k.heap) > 0 {
 		idx := k.heap[0]
 		if k.slots[idx].at != t {
@@ -508,8 +514,15 @@ func (k *Kernel) drain(t Time) {
 		k.heapPop()
 		for {
 			k.batch = append(k.batch, idx)
-			next := k.slots[idx].next
-			k.slots[idx].next = 0
+			s := &k.slots[idx]
+			if s.early != prevEarly {
+				sorted = sorted && prevEarly
+			} else {
+				sorted = sorted && s.seq > prevSeq
+			}
+			prevEarly, prevSeq = s.early, s.seq
+			next := s.next
+			s.next = 0
 			if next == 0 {
 				break
 			}
@@ -521,7 +534,7 @@ func (k *Kernel) drain(t Time) {
 			k.tcache[i].tail = 0
 		}
 	}
-	if len(k.batch) > 1 {
+	if !sorted {
 		slices.SortFunc(k.batch, k.batchCmp)
 	}
 	k.dispatching = true

@@ -528,3 +528,78 @@ func TestKernelAtCallEarlyCancel(t *testing.T) {
 		t.Errorf("Processed() = %d, want 0", k.Processed())
 	}
 }
+
+// countSorts wraps the kernel's batch comparator so a test can tell whether
+// drain sorted a batch.
+func countSorts(k *Kernel) *int {
+	calls := new(int)
+	cmp := k.batchCmp
+	k.batchCmp = func(a, b uint32) int {
+		*calls++
+		return cmp(a, b)
+	}
+	return calls
+}
+
+// TestKernelDrainSortsOnlyOutOfOrderBatches covers both branches of drain:
+// a batch assembled from two chains with an early event behind normal ones
+// (plus events spliced in from inside the batch) must be sorted into exact
+// (early, seq) order, and a single FIFO chain fires as queued without a sort.
+func TestKernelDrainSortsOnlyOutOfOrderBatches(t *testing.T) {
+	const at = Time(1000)
+	t.Run("sort needed", func(t *testing.T) {
+		k := NewKernel()
+		calls := countSorts(k)
+		var got []string
+		rec := func(a any) { got = append(got, a.(string)) }
+		k.AtCall(at, func(any) {
+			rec("n1")
+			k.AtCallEarly(at, rec, "e2") // spliced before the remaining normals
+			k.AtCall(at, rec, "n4")      // spliced last
+		}, nil)
+		k.AtCall(at, rec, "n2")
+		// Evict the instant's chain tail: schedule more than tcacheSize other
+		// instants, ending on one that shares its cache entry.
+		for d := Time(1); ; d++ {
+			k.AtCall(at+d, func(any) {}, nil)
+			if d > tcacheSize && tcacheSlot(at+d) == tcacheSlot(at) {
+				break
+			}
+		}
+		k.AtCall(at, rec, "n3")
+		k.AtCallEarly(at, rec, "e1") // early, behind n3 in the second chain
+		heads := 0
+		for _, idx := range k.heap {
+			if k.slots[idx].at == at {
+				heads++
+			}
+		}
+		if heads < 2 {
+			t.Fatalf("instant has %d chains, want >= 2 (tail cache not evicted)", heads)
+		}
+		k.Run(at)
+		if want := "e1 n1 e2 n2 n3 n4"; strings.Join(got, " ") != want {
+			t.Errorf("fired %q, want %q", strings.Join(got, " "), want)
+		}
+		if *calls == 0 {
+			t.Error("out-of-order batch was not sorted")
+		}
+	})
+	t.Run("sort skipped", func(t *testing.T) {
+		k := NewKernel()
+		calls := countSorts(k)
+		var got []string
+		rec := func(a any) { got = append(got, a.(string)) }
+		k.AtCallEarly(at, rec, "e1")
+		for _, name := range []string{"n1", "n2", "n3", "n4"} {
+			k.AtCall(at, rec, name)
+		}
+		k.Run(at)
+		if want := "e1 n1 n2 n3 n4"; strings.Join(got, " ") != want {
+			t.Errorf("fired %q, want %q", strings.Join(got, " "), want)
+		}
+		if *calls != 0 {
+			t.Errorf("in-order batch was sorted (%d comparisons)", *calls)
+		}
+	})
+}

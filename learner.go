@@ -27,13 +27,20 @@ func NewLearner(states, actions int, p LearnParams, kind TableKind, defaultActio
 	if states <= 0 || actions <= 0 {
 		return nil, fmt.Errorf("qma: learner dimensions %dx%d must be positive", states, actions)
 	}
+	if actions > qlearn.MaxPolicyActions {
+		return nil, fmt.Errorf("qma: %d actions exceed the policy's %d", actions, qlearn.MaxPolicyActions)
+	}
 	if defaultAction < 0 || defaultAction >= actions {
 		return nil, fmt.Errorf("qma: default action %d out of range [0,%d)", defaultAction, actions)
 	}
 	var table qlearn.Table
 	switch kind {
 	case TableFloat:
-		table = qlearn.NewFloatTable(states, actions, p.internal())
+		params := p.internal()
+		if err := params.Validate(); err != nil {
+			return nil, err
+		}
+		table = qlearn.NewFloatTable(states, actions, params)
 	case TableFixed:
 		table = qlearn.NewFixedTable(states, actions, qlearn.DefaultFixedParams())
 	case TableQuant:

@@ -413,6 +413,12 @@ func TestPublicLearner(t *testing.T) {
 	if _, err := qma.NewLearner(2, 3, qma.LearnParams{}, qma.TableFloat, 5); err == nil {
 		t.Error("accepted out-of-range default action")
 	}
+	if _, err := qma.NewLearner(4, 3, qma.LearnParams{Alpha: 2, Gamma: 0.9}, qma.TableFloat, 0); err == nil {
+		t.Error("accepted alpha=2")
+	}
+	if _, err := qma.NewLearner(2, 257, qma.LearnParams{}, qma.TableFloat, 0); err == nil {
+		t.Error("accepted more actions than a one-byte policy holds")
+	}
 }
 
 func TestPublicExplorationRate(t *testing.T) {
