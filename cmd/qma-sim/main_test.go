@@ -71,7 +71,6 @@ func TestSemanticFlagErrorsExitNonZero(t *testing.T) {
 		{"mmtc with faults", []string{"-mmtc", "100", "-fault-reboot", "0@1", "-duration", "1"}, "-fault-"},
 		{"mmtc warmup past duration", []string{"-mmtc", "100", "-duration", "1", "-warmup", "2"}, "-warmup"},
 		{"mmtc too few nodes per cell", []string{"-mmtc", "10", "-cells", "4x4", "-duration", "1", "-warmup", "0"}, "too small"},
-		{"lockstep without mmtc", []string{"-lockstep", "-duration", "1"}, "-lockstep requires -mmtc"},
 		{"cpuprofile bad path", []string{"-cpuprofile", "/no/such/dir/cpu.out", "-duration", "1"}, "-cpuprofile"},
 		{"memprofile bad path", []string{"-memprofile", "/no/such/dir/mem.out", "-duration", "1"}, "-memprofile"},
 	}
@@ -144,10 +143,10 @@ func TestMMTCFlagRunsShardedCity(t *testing.T) {
 	}
 }
 
-// TestLockstepFlagSelectsReferenceScheduler drives -mmtc -lockstep end to
-// end and pins both the scheduler banner and that the two schedulers print
-// the same results (the CLI-level echo of the byte-identity contract).
-func TestLockstepFlagSelectsReferenceScheduler(t *testing.T) {
+// TestMMTCOutputIndependentOfParallel drives -mmtc end to end at one and at
+// two workers and pins that both print the same results (the CLI-level echo
+// of the scheduler's byte-identity contract).
+func TestMMTCOutputIndependentOfParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
@@ -155,18 +154,14 @@ func TestLockstepFlagSelectsReferenceScheduler(t *testing.T) {
 		"-mmtc", "400", "-cells", "2x1", "-delta", "0.2",
 		"-duration", "8", "-warmup", "2", "-seed", "1",
 	}
-	var dep, lock, stderr bytes.Buffer
-	if code := run(args, &dep, &stderr); code != 0 {
-		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
+	var one, two, stderr bytes.Buffer
+	if code := run(append([]string{"-parallel", "1"}, args...), &one, &stderr); code != 0 {
+		t.Fatalf("-parallel 1 exit %d; stderr: %s", code, stderr.String())
 	}
-	if code := run(append([]string{"-lockstep"}, args...), &lock, &stderr); code != 0 {
-		t.Fatalf("lockstep exit %d; stderr: %s", code, stderr.String())
+	if code := run(append([]string{"-parallel", "2"}, args...), &two, &stderr); code != 0 {
+		t.Fatalf("-parallel 2 exit %d; stderr: %s", code, stderr.String())
 	}
-	out := lock.String()
-	if !strings.Contains(out, "lock-step reference") {
-		t.Fatalf("scheduler banner missing:\n%s", out)
-	}
-	// Strip the banner and the wall-clock-dependent lines; everything else
+	// Strip the scheduler and wall-clock-dependent lines; everything else
 	// (per-cell table, PDR, delay tails, event counts) must match exactly.
 	stable := func(s string) string {
 		var keep []string
@@ -179,8 +174,11 @@ func TestLockstepFlagSelectsReferenceScheduler(t *testing.T) {
 		}
 		return strings.Join(keep, "\n")
 	}
-	if stable(dep.String()) != stable(out) {
-		t.Fatalf("schedulers disagree:\n--- dependency-driven ---\n%s\n--- lock-step ---\n%s", dep.String(), out)
+	if stable(one.String()) != stable(two.String()) {
+		t.Fatalf("worker counts disagree:\n--- -parallel 1 ---\n%s\n--- -parallel 2 ---\n%s", one.String(), two.String())
+	}
+	if !strings.Contains(one.String(), "network PDR") {
+		t.Fatalf("no network summary in output:\n%s", one.String())
 	}
 }
 

@@ -125,6 +125,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 
 	n := cfg.Network.NumNodes()
 	nodes := make([]*Node, n)
+	caps := make([]mac.Engine, n)
 	for i := 0; i < n; i++ {
 		id := frame.NodeID(i)
 		node := NewNode(NodeConfig{
@@ -158,6 +159,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		}, sim.NewRandStream(cfg.Seed, uint64(i)))
 		node.AttachCAP(engine)
 		nodes[i] = node
+		caps[i] = engine
 		medium.Attach(id, node)
 	}
 	for _, node := range nodes {
@@ -171,37 +173,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		// The barring factor rides the beacon: once per beacon interval the
 		// sink folds the congestion it observed on the medium into the
 		// controller and the nodes pick the new factor up with the beacon.
-		sfd := clock.Config().SuperframeDuration()
-		interval := cfg.Barring.Interval
-		if interval <= 0 {
-			interval = sfd
-		}
-		backoff := cfg.Barring.Backoff
-		if backoff <= 0 {
-			backoff = sfd
-		}
-		ctrl := barring.New(cfg.Barring)
-		sink := cfg.Network.Sink
-		var prev radio.NodeStats
-		var prevAir sim.Time
-		var tick func()
-		tick = func() {
-			cur := medium.Stats(sink)
-			_, air := medium.ChannelLoad()
-			obs := barring.Observation{
-				Delivered:    cur.RxDelivered - prev.RxDelivered,
-				Collided:     cur.RxCollided - prev.RxCollided,
-				Captured:     cur.RxCaptured - prev.RxCaptured,
-				BusyFraction: float64(air-prevAir) / float64(interval),
-			}
-			prev, prevAir = cur, air
-			p := ctrl.Update(obs)
-			for _, node := range nodes {
-				node.CAP().Base().SetBarring(p, backoff)
-			}
-			kernel.Schedule(interval, tick)
-		}
-		kernel.Schedule(interval, tick)
+		scenario.ArmBarring(kernel, medium, cfg.Network.Sink, clock.Config().SuperframeDuration(), cfg.Barring, caps)
 	}
 
 	// Secondary background traffic: periodic route-discovery broadcasts.

@@ -19,7 +19,7 @@ import (
 	"qma/internal/stats"
 )
 
-// runGrid is the experiments' ReplicateGrid: it threads one scenario.Arena
+// runGrid is the experiments' sweep entry point: it threads one scenario.Arena
 // per worker into the replications, so the back-to-back runs of a sweep
 // recycle their frame pools and per-node hot-state slabs instead of
 // re-allocating them thousands of times. Arenas are invisible to the

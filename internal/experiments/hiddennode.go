@@ -156,7 +156,7 @@ func RunConvergence(mode Mode) []*Table {
 	order := []string{"δ=1", "δ=10", "δ=100"}
 	deltas := []float64{1, 10, 100}
 	results := make([]*scenario.Result, len(deltas))
-	errs := stats.ForEach(len(deltas), mode.Parallel, func(i int) {
+	errs := stats.ForEachWorker(len(deltas), mode.Parallel, func(_, i int) {
 		cfg := hiddenNodeConfig(scenario.QMA, deltas[i], mode, 1)
 		cfg.Duration = duration
 		cfg.SamplePeriod = 122880 * sim.Microsecond // one superframe
@@ -252,7 +252,7 @@ func RunSlotUtilization(mode Mode) []*Table {
 	}
 	// Two independent runs (snapshot, final) per case, all sharded together.
 	results := make([]*scenario.Result, 2*len(cases))
-	errs := stats.ForEach(len(results), mode.Parallel, func(i int) {
+	errs := stats.ForEachWorker(len(results), mode.Parallel, func(_, i int) {
 		c := cases[i/2]
 		duration := c.snapshot
 		if i%2 == 1 {

@@ -14,8 +14,8 @@ import (
 // starting transmissions in every cell, mirroring the edge transmissions
 // into the next cell's busy accounting (ScheduleForeignBusy) and probing
 // CCA against the raised counters. One op is one epoch across all C cells —
-// the unit both scenario-level schedulers (lock-step and dependency-driven)
-// repeat per cell — so the ns/op must stay ~linear in C for the scale-out
+// the unit the scenario-level scheduler (and its lock-step test reference)
+// repeats per cell — so the ns/op must stay ~linear in C for the scale-out
 // to hold; the perf gate pins it against the BENCH snapshot.
 func BenchmarkShardedMediumCells(b *testing.B) {
 	const nodesPerCell = 64

@@ -486,7 +486,7 @@ func build(cfg Config) *run {
 		if err := cfg.Barring.Validate(); err != nil {
 			panic(fmt.Sprintf("scenario: %v", err))
 		}
-		r.armBarring()
+		ArmBarring(kernel, medium, cfg.Network.Sink, clock.Config().SuperframeDuration(), cfg.Barring, r.engines)
 	}
 	if cfg.MeasureFrom > 0 {
 		kernel.At(cfg.MeasureFrom, func() {
@@ -584,18 +584,17 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 	}
 }
 
-// armBarring installs the sink-side access-class barring loop: once per
-// beacon interval (default: one superframe, matching the simulator's
-// implicit beacon at each superframe start) the sink diffs the congestion
-// counters it observes on the medium — deliveries, collisions, captures and
-// raw channel airtime — into a barring.Observation, runs the configured
-// controller over it, and pushes the resulting barring factor to every
-// node's MAC base as the beacon payload. The loop itself draws no
-// randomness; all barring randomness lives in the nodes' dedicated
-// per-node streams (4000+id).
-func (r *run) armBarring() {
-	cfg := r.cfg.Barring
-	sfd := r.clock.Config().SuperframeDuration()
+// ArmBarring installs the sink-side access-class barring loop on kernel:
+// once per beacon interval (cfg.Interval, default one superframe sfd,
+// matching the simulator's implicit beacon at each superframe start) the
+// sink diffs the congestion counters it observes on medium — deliveries,
+// collisions, captures and raw channel airtime — into a barring.Observation,
+// runs the configured controller over it, and pushes the resulting barring
+// factor (with cfg.Backoff, default sfd) to every engine's MAC base as the
+// beacon payload. The loop itself draws no randomness; all barring
+// randomness lives in the nodes' dedicated per-node streams (4000+id).
+// Callers validate cfg first. Run and the DSME scenario share this loop.
+func ArmBarring(kernel *sim.Kernel, medium *radio.Medium, sink frame.NodeID, sfd sim.Time, cfg barring.Config, engines []mac.Engine) {
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = sfd
@@ -605,13 +604,12 @@ func (r *run) armBarring() {
 		backoff = sfd
 	}
 	ctrl := barring.New(cfg)
-	sink := r.cfg.Network.Sink
 	var prev radio.NodeStats
 	var prevAir sim.Time
 	var tick func()
 	tick = func() {
-		cur := r.medium.Stats(sink)
-		_, air := r.medium.ChannelLoad()
+		cur := medium.Stats(sink)
+		_, air := medium.ChannelLoad()
 		obs := barring.Observation{
 			Delivered:    cur.RxDelivered - prev.RxDelivered,
 			Collided:     cur.RxCollided - prev.RxCollided,
@@ -620,12 +618,12 @@ func (r *run) armBarring() {
 		}
 		prev, prevAir = cur, air
 		p := ctrl.Update(obs)
-		for _, e := range r.engines {
+		for _, e := range engines {
 			e.Base().SetBarring(p, backoff)
 		}
-		r.kernel.Schedule(interval, tick)
+		kernel.Schedule(interval, tick)
 	}
-	r.kernel.Schedule(interval, tick)
+	kernel.Schedule(interval, tick)
 }
 
 func (r *run) macConfig(id frame.NodeID) mac.Config {

@@ -6,26 +6,26 @@
 // during an epoch are mirrored into the neighbouring shards' busy
 // accounting (radio.Medium.ScheduleForeignBusy) one epoch later.
 //
-// Two schedulers drive the epochs. The default is dependency-driven:
-// persistent workers (stats.RunPool) and a per-cell epoch counter where
-// cell c may run epoch e as soon as each of its grid neighbours finished
-// epoch e−1 — exactly the synchronization the one-epoch mirroring lag
-// licenses — so interior cells run up to an epoch ahead of a slow hot cell
-// instead of idling at a global barrier. Ready cells are dequeued
-// largest-estimated-work-first (estimate = the cell's previous epoch's
-// kernel events) with worker affinity, so the critical path starts early
-// and a cell tends to re-run on the worker whose cache holds its arena.
-// ShardedConfig.Lockstep selects the original scheduler — a global barrier
-// per epoch with a single-threaded exchange — which stays pinned as the
-// reference in the equivalence tests.
+// A dependency-driven scheduler drives the epochs: persistent workers
+// (stats.RunPool) and a per-cell epoch counter where cell c may run epoch e
+// as soon as each of its grid neighbours finished epoch e−1 — exactly the
+// synchronization the one-epoch mirroring lag licenses — so interior cells
+// run up to an epoch ahead of a slow hot cell instead of idling at a global
+// barrier. Ready cells are dequeued largest-estimated-work-first (estimate =
+// the cell's previous epoch's kernel events) with worker affinity, so the
+// critical path starts early and a cell tends to re-run on the worker whose
+// cache holds its arena. RunSharded is prepareSharded, that scheduler, then
+// collect; the equivalence tests drive the same two steps around a
+// sequential lock-step reference (a global barrier per epoch, then a
+// cell-order exchange) and pin the two byte for byte.
 //
-// Both schedulers produce byte-identical results for every worker count.
-// Workers only ever touch their own cell's state, and the injections a cell
-// applies at epoch e are deterministic: each pending inbox batch is tagged
-// with its source cell and epoch, only batches tagged e−1 are folded, and
-// they fold sorted by source-cell id (each batch internally in outbox
-// order) — exactly the order the lock-step coordinator's cell-order
-// exchange produces, independent of worker arrival.
+// Results are byte-identical for every worker count. Workers only ever
+// touch their own cell's state, and the injections a cell applies at epoch
+// e are deterministic: each pending inbox batch is tagged with its source
+// cell and epoch, only batches tagged e−1 are folded, and they fold sorted
+// by source-cell id (each batch internally in outbox order) — exactly the
+// order a lock-step cell-order exchange produces, independent of worker
+// arrival.
 //
 // The one-epoch mirroring lag is the model's fidelity trade: cross-cell
 // energy reaches a neighbour cell's CCA one beacon interval late. It is
@@ -82,13 +82,6 @@ type ShardedConfig struct {
 	// Parallel bounds the worker pool driving the cells (0 = GOMAXPROCS,
 	// 1 = sequential). Results are byte-identical for every value.
 	Parallel int
-	// Lockstep selects the reference scheduler: a global barrier per epoch
-	// with a single-threaded boundary exchange. The default (false) is the
-	// dependency-driven scheduler, which produces byte-identical results
-	// without the barrier (the equivalence tests pin the two against each
-	// other); Lockstep exists as the trusted baseline for those tests and
-	// for profiling scheduler overhead.
-	Lockstep bool
 	// Superframe overrides the DSME timing (zero value selects the default).
 	Superframe superframe.Config
 	// EventBudget truncates each cell after this many kernel events when
@@ -252,13 +245,10 @@ type shardCell struct {
 	delay   stats.Digest
 	windows *stats.Windowed
 	outbox  []edgeTX
-	// inbox is the lock-step scheduler's injection buffer: filled by the
-	// single-threaded exchange, drained at the next epoch's start.
-	inbox []foreignInj
-	// inboxMu guards pending, the dependency-driven scheduler's tagged
-	// batches: neighbours append concurrently as they finish their epochs,
-	// the cell's own job extracts its due batches at epoch start. These are
-	// the only cross-cell writes in that mode.
+	// inboxMu guards pending, the tagged injection batches: neighbours
+	// append concurrently as they finish their epochs, the cell's own job
+	// extracts its due batches at epoch start. These are the only
+	// cross-cell writes.
 	inboxMu sync.Mutex
 	pending []inboxBatch
 	// prevEvents remembers the kernel event count at the last epoch end, so
@@ -275,6 +265,24 @@ type shardCell struct {
 // on configuration errors and never on simulation behaviour; a panic inside
 // a cell's epoch (a simulator bug) propagates instead of being dropped.
 func RunSharded(cfg ShardedConfig) *ShardedResult {
+	sh := prepareSharded(cfg)
+	runShardedDep(sh)
+	return sh.collect()
+}
+
+// shardedRun is one sharded run between prepareSharded and collect: the
+// built cells, the result the schedulers fill in (EpochLen is the resolved
+// epoch) and the boundary-link enumeration.
+type shardedRun struct {
+	cfg         ShardedConfig
+	cells       []*shardCell
+	res         *ShardedResult
+	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget
+}
+
+// prepareSharded validates cfg, builds every cell and installs the
+// edge-transmission observers, leaving the epochs to a scheduler.
+func prepareSharded(cfg ShardedConfig) *shardedRun {
 	if cfg.City == nil {
 		panic("scenario: City is required")
 	}
@@ -373,33 +381,17 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 		})
 	}
 
-	if cfg.Lockstep {
-		runShardedLockstep(cfg, cells, res, epoch, edgeTargets)
-	} else {
-		neighbors := city.NeighborCells
-		if cfg.edgeTargets != nil {
-			// The boundary enumeration is overridden (tests), so the CSR-derived
-			// adjacency cannot be trusted to match it; fall back to the complete
-			// cell graph, which is conservative — extra dependencies only cost
-			// lookahead, never correctness.
-			all := make([][]int32, len(cells))
-			for c := range all {
-				for o := range cells {
-					if o != c {
-						all[c] = append(all[c], int32(o))
-					}
-				}
-			}
-			neighbors = func(c int) []int32 { return all[c] }
-		}
-		runShardedDep(cfg, cells, res, epoch, neighbors, edgeTargets)
-	}
+	return &shardedRun{cfg: cfg, cells: cells, res: res, edgeTargets: edgeTargets}
+}
 
-	for c, sc := range cells {
+// collect folds every cell's streamed aggregates into the result.
+func (sh *shardedRun) collect() *ShardedResult {
+	res := sh.res
+	for c, sc := range sh.cells {
 		sc.run.collect()
 		cr := &res.Cells[c]
 		cr.Cell = c
-		cr.Nodes = city.Cells[c].NumNodes()
+		cr.Nodes = sh.cfg.City.Cells[c].NumNodes()
 		cr.Routed = sc.routed
 		s := sc.run.result.Summary
 		cr.Generated, cr.Delivered, cr.DelaySum = s.Generated, s.Delivered, s.DelaySum
@@ -417,81 +409,9 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 }
 
 // totalEpochs counts the epoch intervals covering the duration — the epoch
-// budget both schedulers run to (the last interval may be short).
+// budget the scheduler runs to (the last interval may be short).
 func totalEpochs(duration, epoch sim.Time) int {
 	return int((duration + epoch - 1) / epoch)
-}
-
-// runShardedLockstep drives the cells with the reference scheduler: one
-// global barrier per epoch, then a single-threaded exchange of the recorded
-// edge transmissions in cell order — trivially deterministic for every
-// worker count, and the baseline the dependency-driven scheduler is pinned
-// against. It exits early once every cell has exhausted its event budget
-// (res.Epochs counts only epochs in which some cell could still run, which
-// keeps it equal to the dependency scheduler's max per-cell epoch count).
-func runShardedLockstep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, epoch sim.Time,
-	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget) {
-	for now := sim.Time(0); now < cfg.Duration; {
-		allExhausted := true
-		for _, sc := range cells {
-			if !sc.run.kernel.BudgetExhausted() {
-				allExhausted = false
-				break
-			}
-		}
-		if allExhausted {
-			break
-		}
-		end := now + epoch
-		if end > cfg.Duration {
-			end = cfg.Duration
-		}
-		if errs := stats.ForEachWorker(len(cells), cfg.Parallel, func(_, c int) {
-			sc := cells[c]
-			if sc.failed {
-				panic(sc.failure) // poisoned by an earlier panic: do not resume
-			}
-			if sc.run.kernel.BudgetExhausted() {
-				return
-			}
-			defer func() {
-				if v := recover(); v != nil {
-					sc.failed, sc.failure = true, v
-					panic(v)
-				}
-			}()
-			for _, inj := range sc.inbox {
-				sc.run.medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
-			}
-			res.Cells[c].ForeignBusy += uint64(len(sc.inbox))
-			sc.inbox = sc.inbox[:0]
-			sc.run.kernel.Run(end)
-		}); errs != nil {
-			panic(fmt.Sprintf("scenario: sharded epoch failed: %v", errs[0]))
-		}
-		for c, sc := range cells {
-			for _, tx := range sc.outbox {
-				for _, tgt := range edgeTargets(c, tx.src) {
-					dst := cells[tgt.Cell]
-					if dst.run.kernel.BudgetExhausted() {
-						continue
-					}
-					// Mirrored one epoch late: the earliest possible start
-					// (epoch begin + epoch) is exactly the next barrier, so
-					// the injection is never in the target kernel's past.
-					dst.inbox = append(dst.inbox, foreignInj{
-						node:    tgt.Node,
-						channel: tx.channel,
-						start:   tx.start + epoch,
-						end:     tx.end + epoch,
-					})
-				}
-			}
-			sc.outbox = sc.outbox[:0]
-		}
-		res.Epochs++
-		now = end
-	}
 }
 
 // runShardedDep drives the cells with the dependency-driven scheduler on a
@@ -506,15 +426,34 @@ func runShardedLockstep(cfg ShardedConfig, cells []*shardCell, res *ShardedResul
 // Determinism: the epoch job touches only its own cell's state except for
 // appending one (srcCell, epoch)-tagged batch per neighbouring inbox under
 // that inbox's lock; the fold at epoch start selects exactly the batches
-// tagged e−1 and sorts them by source cell, reproducing the lock-step
-// coordinator's cell-order exchange regardless of arrival order. Budget
-// equivalence: the lock-step exchange skips targets already exhausted at
-// the barrier, while this scheduler always publishes and instead never
-// schedules an exhausted cell again — its pending batches are simply never
-// folded, so per-cell ForeignBusy counts match.
-func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, epoch sim.Time,
-	neighbors func(cell int) []int32,
-	edgeTargets func(cell int, src frame.NodeID) []topo.BoundaryTarget) {
+// tagged e−1 and sorts them by source cell, reproducing a lock-step
+// cell-order exchange regardless of arrival order. Budget equivalence: a
+// lock-step exchange skips targets already exhausted at the barrier, while
+// this scheduler always publishes and instead never schedules an exhausted
+// cell again — its pending batches are simply never folded, so per-cell
+// ForeignBusy counts match.
+//
+// A cell whose epoch panics twice is never scheduled again (it stays
+// queued), so its neighbours stall behind it; the pool drains what remains
+// ready and RunPool's error makes this panic.
+func runShardedDep(sh *shardedRun) {
+	cfg, cells, res, epoch, edgeTargets := sh.cfg, sh.cells, sh.res, sh.res.EpochLen, sh.edgeTargets
+	neighbors := cfg.City.NeighborCells
+	if cfg.edgeTargets != nil {
+		// The boundary enumeration is overridden (tests), so the CSR-derived
+		// adjacency cannot be trusted to match it; fall back to the complete
+		// cell graph, which is conservative — extra dependencies only cost
+		// lookahead, never correctness.
+		all := make([][]int32, len(cells))
+		for c := range all {
+			for o := range cells {
+				if o != c {
+					all[c] = append(all[c], int32(o))
+				}
+			}
+		}
+		neighbors = func(c int) []int32 { return all[c] }
+	}
 	total := totalEpochs(cfg.Duration, epoch)
 	workers := stats.Workers(cfg.Parallel)
 	if workers > len(cells) {
@@ -590,7 +529,7 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 
 		// Publish this epoch's outbox as one tagged batch per target cell,
 		// preserving outbox order within each batch. This runs even when the
-		// budget just ran out — the lock-step exchange also forwards the
+		// budget just ran out — a lock-step exchange also forwards the
 		// exhausting epoch's transmissions.
 		if len(sc.outbox) > 0 {
 			byDst := map[int32][]foreignInj{}
@@ -630,13 +569,13 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 		lastWorker[c] = w
 		var pushes []stats.Item
 		consider := func(m int) {
-			if queued[m] || exhausted[m] || done[m] >= total || cells[m].failed {
+			if queued[m] || exhausted[m] || done[m] >= total {
 				return
 			}
 			for _, n := range neighbors(m) {
 				// A neighbour that can never reach done[m] epochs (budget ran
 				// out earlier) stops constraining m — it will produce no more
-				// batches, exactly like its empty epochs in lock-step.
+				// batches, exactly like its skipped epochs under lock-step.
 				if done[n] < done[m] && !exhausted[n] {
 					return
 				}
@@ -652,7 +591,7 @@ func runShardedDep(cfg ShardedConfig, cells []*shardCell, res *ShardedResult, ep
 	}
 
 	if errs := stats.RunPool(workers, initial, job); errs != nil {
-		panic(fmt.Sprintf("scenario: sharded epoch failed: %v", errs[0]))
+		panic(fmt.Sprintf("scenario: sharded epoch failed in cell %d: %v", errs[0].Index, errs[0].Value))
 	}
 
 	// The pool drained: every cell must have either run all its epochs or

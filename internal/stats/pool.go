@@ -6,22 +6,28 @@ import (
 	"sync"
 )
 
-// This file is the dependency-driven counterpart to replicate.go's
-// fixed-index worker pool: RunPool keeps Workers(parallel) goroutines alive
-// for the whole workload and feeds them from a dynamic ready queue instead
-// of re-dispatching a fresh pool per phase. A completing job reports which
-// items its completion made ready, so irregular dependency graphs (the
-// sharded scheduler's per-cell epoch lattice) run without any global
-// barrier: a worker that finishes one item immediately picks up the
-// highest-priority ready item instead of idling until the slowest item of a
-// phase completes.
+// This file is the package's one worker-pool engine. RunPool keeps
+// Workers(parallel) goroutines alive for the whole workload and feeds them
+// from a dynamic ready queue: a completing job reports which items its
+// completion made ready, so irregular dependency graphs (the sharded
+// scheduler's per-cell epoch lattice) run without any global barrier — a
+// worker that finishes one item immediately picks up the highest-priority
+// ready item instead of idling until the slowest item of a phase completes.
+// ForEachWorker is the flat special case: n independent items that push
+// nothing.
 //
 // Determinism is the caller's problem by design: the pool guarantees only
-// that every pushed item runs exactly once and that a job's writes
-// happen-before the execution of every item it pushed (the push and the
-// dequeue synchronize on the pool lock). Callers that want byte-identical
-// results across worker counts must make each item's effect independent of
-// execution order, exactly like ForEachWorker jobs.
+// that every pushed item runs once (a panicking one is retried once), that
+// a job's writes happen-before the execution of every item it pushed (the
+// push and the dequeue synchronize on the pool lock), and that errors come
+// back in index order. Callers that want byte-identical results across
+// worker counts must make each item's effect independent of execution
+// order.
+//
+// The pool is also the process's crash barrier: a panicking job is
+// recovered, retried once on the same worker (against e.g. a transient OOM
+// kill of a goroutine stack) and, if it panics again, recorded as a
+// structured RepError instead of taking down a sweep of thousands of runs.
 
 // Item is one schedulable unit of work for RunPool.
 type Item struct {
@@ -46,22 +52,20 @@ type pool struct {
 	// in-flight items, so outstanding == 0 means the workload is drained.
 	ready       []Item
 	outstanding int
-	aborted     bool
 	errs        []*RepError
 }
 
 // RunPool executes a dependency-driven workload on persistent workers: the
 // initial items are ready immediately, and a completing job returns the
 // items its completion made ready (each item must be returned exactly once
-// over the whole run). The pool exits when every item completed or after an
-// item failed; it returns nil on full success.
+// over the whole run). The pool exits when no item is ready or running; it
+// returns nil on full success.
 //
-// Panic semantics match ForEachWorker: a panicking job is retried once on
-// the same worker and, failing again, recorded as a RepError — but because
-// later items may depend on the failed one, the pool then aborts instead of
-// running the remaining items against a broken dependency (pending items
-// are dropped, in-flight items finish). Callers treat a non-nil error slice
-// as fatal for the whole workload.
+// A job that panics twice is recorded as a RepError and counts as completed
+// with no pushes: the items only it would have readied never run, while
+// every independent ready item still does — a sweep finishes its surviving
+// replications. Callers whose items depend on each other (RunSharded) treat
+// a non-nil error slice as fatal for the whole workload.
 func RunPool(parallel int, initial []Item, job func(w, id int) []Item) []*RepError {
 	if len(initial) == 0 {
 		return nil
@@ -92,35 +96,25 @@ func RunPool(parallel int, initial []Item, job func(w, id int) []Item) []*RepErr
 }
 
 // work is one persistent worker's loop: take the best ready item, run it,
-// push what its completion readied, repeat until drained or aborted.
+// push what its completion readied, repeat until drained.
 func (p *pool) work(w int, job func(w, id int) []Item) {
 	for {
 		p.mu.Lock()
-		for len(p.ready) == 0 && p.outstanding > 0 && !p.aborted {
+		for len(p.ready) == 0 && p.outstanding > 0 {
 			p.cond.Wait()
 		}
-		if p.aborted || len(p.ready) == 0 {
+		if len(p.ready) == 0 {
 			p.mu.Unlock()
 			return
 		}
 		it := p.take(w)
 		p.mu.Unlock()
 
-		pushes, re := runPoolJob(w, it.ID, job)
+		pushes, re := runJob(w, it.ID, job)
 
 		p.mu.Lock()
 		if re != nil {
 			p.errs = append(p.errs, re)
-			p.aborted = true
-			p.ready = nil
-			p.cond.Broadcast()
-			p.mu.Unlock()
-			return
-		}
-		if p.aborted {
-			// Another worker failed while this item ran; its pushes are moot.
-			p.mu.Unlock()
-			return
 		}
 		p.ready = append(p.ready, pushes...)
 		p.outstanding += len(pushes) - 1
@@ -159,10 +153,10 @@ func (p *pool) take(w int) Item {
 	return it
 }
 
-// runPoolJob runs job(w, id) under the recover-and-retry barrier (one
-// retry, then a RepError), capturing the pushed items of the successful
-// attempt.
-func runPoolJob(w, id int, job func(w, id int) []Item) (pushes []Item, re *RepError) {
+// runJob runs job(w, id) under the recover-and-retry barrier (one retry,
+// then a RepError with Index filled and Cell/Seed left for the caller),
+// capturing the pushed items of the successful attempt.
+func runJob(w, id int, job func(w, id int) []Item) (pushes []Item, re *RepError) {
 	var lastValue any
 	var lastStack []byte
 	attempt := func() (panicked bool) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,9 +108,8 @@ func TestRunPoolAffinityPreference(t *testing.T) {
 	}
 }
 
-// TestRunPoolRetriesOnce pins the panic semantics: one panic retries on the
-// same worker and succeeds silently; two panics surface as a RepError and
-// abort the remaining workload.
+// TestRunPoolRetriesOnce pins the retry: one panic retries on the same
+// worker and succeeds silently.
 func TestRunPoolRetriesOnce(t *testing.T) {
 	var attempts atomic.Int32
 	errs := RunPool(2, []Item{{ID: 7}}, func(_, id int) []Item {
@@ -126,26 +126,38 @@ func TestRunPoolRetriesOnce(t *testing.T) {
 	}
 }
 
-func TestRunPoolAbortsAfterDoublePanic(t *testing.T) {
-	var survivors atomic.Int32
-	errs := RunPool(1, []Item{{ID: 3, Priority: 10}, {ID: 4}}, func(_, id int) []Item {
-		if id == 3 {
-			panic("poisoned")
+// TestRunPoolDoublePanicSkipsDependants pins the failure contract: a job
+// that panics twice becomes a RepError and counts as completed with no
+// pushes, so the item it would have readied never runs, while an
+// independent item — and everything that item readies — still does.
+func TestRunPoolDoublePanicSkipsDependants(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		var mu sync.Mutex
+		ran := map[int]int{}
+		errs := RunPool(parallel, []Item{{ID: 3, Priority: 10, Affinity: -1}, {ID: 4, Affinity: -1}}, func(_, id int) []Item {
+			mu.Lock()
+			ran[id]++
+			mu.Unlock()
+			if id == 3 {
+				panic("poisoned")
+			}
+			if id < 100 {
+				return []Item{{ID: id + 100, Affinity: -1}}
+			}
+			return nil
+		})
+		if len(errs) != 1 {
+			t.Fatalf("parallel=%d: got %d errors, want 1: %v", parallel, len(errs), errs)
 		}
-		survivors.Add(1)
-		return []Item{{ID: id + 100}}
-	})
-	if len(errs) != 1 {
-		t.Fatalf("got %d errors, want 1: %v", len(errs), errs)
-	}
-	e := errs[0]
-	if e.Index != 3 || e.Attempts != 2 || e.Value != "poisoned" {
-		t.Fatalf("RepError = %+v, want index 3, 2 attempts, value %q", e, "poisoned")
-	}
-	// Item 3 has the higher priority, so the single worker runs it first and
-	// the abort must drop item 4 entirely.
-	if got := survivors.Load(); got != 0 {
-		t.Fatalf("%d items ran after the abort, want 0", got)
+		e := errs[0]
+		if e.Index != 3 || e.Attempts != 2 || e.Value != "poisoned" || len(e.Stack) == 0 {
+			t.Fatalf("parallel=%d: RepError = %+v, want index 3, 2 attempts, value %q and a stack",
+				parallel, e, "poisoned")
+		}
+		want := map[int]int{3: 2, 4: 1, 104: 1}
+		if !reflect.DeepEqual(ran, want) {
+			t.Fatalf("parallel=%d: run counts %v, want %v (103 must never run)", parallel, ran, want)
+		}
 	}
 }
 

@@ -3,23 +3,17 @@ package stats
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// This file is the replication engine behind every figure: independent
+// This file is the replication front end behind every figure: independent
 // simulation runs (replications, and independent sweep points) are sharded
-// across a bounded worker pool. Determinism is by construction — each job is
-// addressed by its index, derives all randomness from its seed, and writes
-// only its own result slot; merging then walks the slots in index order, so
-// the output is byte-identical for any worker count.
+// across the worker pool of pool.go. Determinism is by construction — each
+// job is addressed by its index, derives all randomness from its seed, and
+// writes only its own result slot; merging then walks the slots in index
+// order, so the output is byte-identical for any worker count.
 //
-// The pool is also the process's crash barrier: a panicking replication is
-// recovered, retried once (against e.g. a transient OOM kill of a goroutine
-// stack) and, if it panics again, recorded as a structured RepError instead
-// of taking down a sweep of thousands of runs. The sweep completes with the
+// A replication that panics on both attempts is recorded as a structured
+// RepError instead of taking down the sweep. The sweep completes with the
 // surviving replications; the RepError carries the exact cell and seed
 // needed to reproduce the crash in a single-threaded run.
 
@@ -56,138 +50,44 @@ func Workers(parallel int) int {
 	return parallel
 }
 
-// runJob executes job(i) under a recover barrier with one retry. It returns
-// nil on success and a RepError (Index filled, Cell/Seed left for the caller)
-// when both attempts panicked.
-func runJob(w, i int, job func(w, i int)) *RepError {
-	var lastValue any
-	var lastStack []byte
-	attempt := func() (panicked bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				panicked = true
-				lastValue = v
-				lastStack = debug.Stack()
-			}
-		}()
-		job(w, i)
-		return false
-	}
-	const attempts = 2
-	for a := 0; a < attempts; a++ {
-		if !attempt() {
-			return nil
-		}
-	}
-	return &RepError{Index: i, Value: lastValue, Stack: lastStack, Attempts: attempts}
-}
-
-// ForEach runs job(0..n-1) on up to Workers(parallel) goroutines and waits
-// for all of them. Jobs must be independent and must confine their writes to
-// per-index state. With one worker (or n == 1) it degrades to a plain loop
-// on the calling goroutine.
+// ForEachWorker runs job(0..n-1) on up to Workers(parallel) goroutines and
+// waits for all of them: RunPool with n independent, equal-priority items
+// that push nothing, dequeued in index order. job additionally receives the
+// index w of the worker goroutine executing it, 0 <= w < Workers(parallel).
+// Jobs on the same w run strictly sequentially, which is what lets a job
+// reuse per-worker state (scratch arenas, frame pools) without locking. The
+// results must not depend on that state — each job stays addressed purely by
+// its index i, and must confine its writes to per-index state.
 //
 // A job that panics is retried once and, failing again, reported in the
 // returned slice (ordered by job index) instead of crashing the pool; its
 // result slot is simply never written. A nil return means every job
 // completed.
-func ForEach(n, parallel int, job func(i int)) []*RepError {
-	return ForEachWorker(n, parallel, func(_, i int) { job(i) })
-}
-
-// ForEachWorker is ForEach with a worker identity: job additionally receives
-// the index w of the worker goroutine executing it, 0 <= w < Workers(parallel).
-// Jobs on the same w run strictly sequentially, which is what lets a job
-// reuse per-worker state (scratch arenas, frame pools) without locking. The
-// results must not depend on that state — each job stays addressed purely by
-// its index i.
 func ForEachWorker(n, parallel int, job func(w, i int)) []*RepError {
-	workers := Workers(parallel)
-	if workers > n {
-		workers = n
+	initial := make([]Item, n)
+	for i := range initial {
+		initial[i] = Item{ID: i, Affinity: -1}
 	}
-	if workers <= 1 {
-		var errs []*RepError
-		for i := 0; i < n; i++ {
-			if re := runJob(0, i, job); re != nil {
-				errs = append(errs, re)
-			}
-		}
-		return errs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []*RepError
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if re := runJob(w, i, job); re != nil {
-					mu.Lock()
-					errs = append(errs, re)
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
-	return errs
+	return RunPool(parallel, initial, func(w, i int) []Item {
+		job(w, i)
+		return nil
+	})
 }
 
-// Replicate runs fn for seeds 0..n-1, each invocation independent, sharded
-// over the worker pool, and returns the per-seed results in seed order.
-// Every figure of the evaluation aggregates such replications; determinism
-// comes from fn deriving all randomness from the seed. A replication that
-// panicked twice leaves zero in its slot and is reported in the error slice.
-func Replicate(n, parallel int, fn func(seed uint64) float64) ([]float64, []*RepError) {
-	out := make([]float64, n)
-	errs := ForEach(n, parallel, func(i int) { out[i] = fn(uint64(i)) })
-	for _, e := range errs {
-		e.Seed = uint64(e.Index)
-	}
-	return out, errs
-}
-
-// ReplicateMany is Replicate for functions returning several named metrics;
-// it returns one Estimate per metric name, accumulated in seed order. Failed
-// replications contribute nothing — each Estimate's N reports how many
-// replications actually survived.
-func ReplicateMany(n, parallel int, fn func(seed uint64) map[string]float64) (map[string]Estimate, []*RepError) {
-	results := make([]map[string]float64, n)
-	errs := ForEach(n, parallel, func(i int) { results[i] = fn(uint64(i)) })
-	for _, e := range errs {
-		e.Seed = uint64(e.Index)
-	}
-	return mergeRuns(results), errs
-}
-
-// ReplicateGrid shards a whole sweep — cells independent experiment points,
-// reps replications each — across one worker pool, so parallelism is not
-// throttled by the replication count of a single point (Quick mode runs only
-// 3 replications per point, far fewer than a modern machine has cores).
-// fn(cell, seed) must be independent across all (cell, seed) pairs; the
-// result is one Estimate per metric name per cell, merged in seed order.
+// ReplicateGridWorker shards a whole sweep — cells independent experiment
+// points, reps replications each — across one worker pool, so parallelism
+// is not throttled by the replication count of a single point (Quick mode
+// runs only 3 replications per point, far fewer than a modern machine has
+// cores). fn(w, cell, seed) must be independent across all (cell, seed)
+// pairs; w is the executing worker (see ForEachWorker), so a sweep can reuse
+// one arena per worker across its runs. The result is one Estimate per
+// metric name per cell, merged in seed order, and must not depend on the
+// worker assignment.
 //
 // A replication that panicked twice is excluded from its cell's merge (the
 // cell's Estimates simply average one fewer run) and reported in the error
 // slice with its exact cell and seed, so the sweep of every other point
 // completes and the crash stays reproducible single-threaded.
-func ReplicateGrid(cells, reps, parallel int, fn func(cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
-	return ReplicateGridWorker(cells, reps, parallel,
-		func(_, cell int, seed uint64) map[string]float64 { return fn(cell, seed) })
-}
-
-// ReplicateGridWorker is ReplicateGrid handing fn the worker index executing
-// the replication (see ForEachWorker), so a sweep can reuse one arena per
-// worker across its runs. The merged Estimates must not depend on the worker
-// assignment.
 func ReplicateGridWorker(cells, reps, parallel int, fn func(w, cell int, seed uint64) map[string]float64) ([]map[string]Estimate, []*RepError) {
 	results := make([]map[string]float64, cells*reps)
 	errs := ForEachWorker(cells*reps, parallel, func(w, i int) {

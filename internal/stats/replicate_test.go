@@ -11,7 +11,7 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	for _, parallel := range []int{1, 2, 7, 0} {
 		const n = 100
 		var hits [n]int32
-		ForEach(n, parallel, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		ForEachWorker(n, parallel, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("parallel=%d: index %d visited %d times", parallel, i, h)
@@ -21,49 +21,55 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 }
 
 func TestForEachEmptyAndSingle(t *testing.T) {
-	ForEach(0, 4, func(i int) { t.Fatal("job called for n=0") })
+	if errs := ForEachWorker(0, 4, func(_, i int) { panic("job called for n=0") }); errs != nil {
+		t.Fatalf("n=0: %v", errs)
+	}
 	calls := 0
-	ForEach(1, 8, func(i int) { calls++ })
+	ForEachWorker(1, 8, func(w, i int) {
+		if w != 0 || i != 0 {
+			t.Errorf("n=1: job(%d, %d), want job(0, 0)", w, i)
+		}
+		calls++
+	})
 	if calls != 1 {
 		t.Fatalf("n=1: job called %d times", calls)
 	}
 }
 
+// TestReplicateSeedOrder pins the sweep addressing: fn sees every
+// (cell, seed) pair exactly once, seeds 0..reps-1 per cell, on a worker
+// index below Workers(parallel).
 func TestReplicateSeedOrder(t *testing.T) {
-	got, errs := Replicate(8, 3, func(seed uint64) float64 { return float64(seed * seed) })
-	if len(errs) != 0 {
-		t.Fatalf("unexpected replication errors: %v", errs)
-	}
-	for i, v := range got {
-		if v != float64(i*i) {
-			t.Fatalf("result[%d] = %v, want %d", i, v, i*i)
+	const cells, reps, parallel = 3, 8, 3
+	var seen [cells * reps]atomic.Int32
+	var badWorker atomic.Bool
+	ReplicateGridWorker(cells, reps, parallel, func(w, cell int, seed uint64) map[string]float64 {
+		if w < 0 || w >= parallel {
+			badWorker.Store(true)
 		}
+		seen[cell*reps+int(seed)].Add(1)
+		return nil
+	})
+	if badWorker.Load() {
+		t.Fatal("job ran on a worker index outside [0, parallel)")
 	}
-}
-
-func TestReplicateManyDeterministicAcrossParallelism(t *testing.T) {
-	fn := func(seed uint64) map[string]float64 {
-		return map[string]float64{
-			"a": math.Sin(float64(seed)),
-			"b": float64(seed) / 7,
-		}
-	}
-	want, _ := ReplicateMany(13, 1, fn)
-	for _, parallel := range []int{2, 5, 0} {
-		got, _ := ReplicateMany(13, parallel, fn)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel=%d: estimates differ: %v vs %v", parallel, got, want)
+	for i := range seen {
+		if got := seen[i].Load(); got != 1 {
+			t.Fatalf("cell %d seed %d ran %d times, want 1", i/reps, i%reps, got)
 		}
 	}
 }
 
 func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
-	fn := func(cell int, seed uint64) map[string]float64 {
-		return map[string]float64{"v": float64(cell)*100 + math.Cos(float64(seed))}
+	fn := func(_, cell int, seed uint64) map[string]float64 {
+		return map[string]float64{
+			"v": float64(cell)*100 + math.Cos(float64(seed)),
+			"w": float64(seed) / 7,
+		}
 	}
-	want, _ := ReplicateGrid(5, 4, 1, fn)
-	for _, parallel := range []int{3, 16, 0} {
-		got, _ := ReplicateGrid(5, 4, parallel, fn)
+	want, _ := ReplicateGridWorker(5, 4, 1, fn)
+	for _, parallel := range []int{4, 0} {
+		got, _ := ReplicateGridWorker(5, 4, parallel, fn)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel=%d: grid estimates differ", parallel)
 		}
@@ -88,7 +94,7 @@ func TestReplicateGridDeterministicAcrossParallelism(t *testing.T) {
 func TestReplicateGridSurvivesPanickingReplication(t *testing.T) {
 	const cells, reps = 10, 10
 	for _, parallel := range []int{1, 4, 0} {
-		est, errs := ReplicateGrid(cells, reps, parallel, func(cell int, seed uint64) map[string]float64 {
+		est, errs := ReplicateGridWorker(cells, reps, parallel, func(_, cell int, seed uint64) map[string]float64 {
 			if cell == 7 && seed == 3 {
 				panic("protocol stub exploded")
 			}
@@ -125,7 +131,7 @@ func TestReplicateGridSurvivesPanickingReplication(t *testing.T) {
 func TestForEachRetriesTransientPanic(t *testing.T) {
 	var firstTry [4]atomic.Bool
 	hits := [4]int32{}
-	errs := ForEach(4, 2, func(i int) {
+	errs := ForEachWorker(4, 2, func(_, i int) {
 		if i == 2 && !firstTry[i].Swap(true) {
 			panic("transient")
 		}
@@ -144,7 +150,7 @@ func TestForEachRetriesTransientPanic(t *testing.T) {
 // TestForEachReportsErrorsInIndexOrder pins the ordering contract under
 // concurrency.
 func TestForEachReportsErrorsInIndexOrder(t *testing.T) {
-	errs := ForEach(50, 8, func(i int) {
+	errs := ForEachWorker(50, 8, func(_, i int) {
 		if i%7 == 0 {
 			panic(i)
 		}

@@ -177,19 +177,13 @@ func TestSeriesQuantile(t *testing.T) {
 	}
 }
 
-func TestReplicateOrderAndParallelism(t *testing.T) {
-	out, _ := Replicate(8, 3, func(seed uint64) float64 { return float64(seed * seed) })
-	for i, v := range out {
-		if v != float64(i*i) {
-			t.Fatalf("out[%d] = %v", i, v)
-		}
-	}
-}
-
+// TestReplicateMany pins the merge of several named metrics for one
+// sweep point: every metric folds all replications of its cell.
 func TestReplicateMany(t *testing.T) {
-	est, _ := ReplicateMany(4, 0, func(seed uint64) map[string]float64 {
+	cells, _ := ReplicateGridWorker(1, 4, 0, func(_, _ int, seed uint64) map[string]float64 {
 		return map[string]float64{"a": float64(seed), "b": 2}
 	})
+	est := cells[0]
 	if est["a"].Mean != 1.5 || est["a"].N != 4 {
 		t.Errorf("a = %+v", est["a"])
 	}
