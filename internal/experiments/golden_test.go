@@ -26,13 +26,20 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden digests")
 
-// goldenIDs are the experiments covered by committed digests: the headline
-// hidden-node sweep, a testbed figure, the DSME scalability family, the
-// large-N scale family, the dynamics family, the cross-protocol baselines
-// family, the capture-enabled NOMA power-level family, the fault-injection
-// family, the overload/access-barring family and the multi-cell sharded
-// mMTC family.
-var goldenIDs = []string{"fig07-09", "fig18", "fig21-22", "scale", "dynamics", "baselines", "noma", "faults", "overload", "mmtc"}
+// goldenIDs are the experiments covered by committed digests — every
+// registered family: the headline hidden-node sweep (fig07-09) and its
+// convergence (fig10-11), adaptability (fig12) and slot-utilization
+// (fig13-15) figures, the testbed figures (fig18, fig19), the Markov
+// handshake model (fig26), the design ablations (the only family tuning
+// QMA options), the energy parity table, the
+// DSME scalability family, the large-N scale family, the dynamics family,
+// the cross-protocol baselines family, the capture-enabled NOMA power-level
+// family, the fault-injection family, the overload/access-barring family
+// and the multi-cell sharded mMTC family.
+var goldenIDs = []string{
+	"fig07-09", "fig18", "fig21-22", "scale", "dynamics", "baselines", "noma", "faults", "overload", "mmtc",
+	"ablation", "energy", "fig10-11", "fig12", "fig13-15", "fig19", "fig26",
+}
 
 // goldenDigest is the committed JSON shape.
 type goldenDigest struct {
