@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"qma/internal/core"
 	"qma/internal/dsme"
 	"qma/internal/markov"
-	"qma/internal/scenario"
 	"qma/internal/sim"
 	"qma/internal/traffic"
 )
@@ -86,8 +86,9 @@ func (s *DSMEScenario) Run() (*DSMEResult, error) {
 		Warmup:          sim.FromSeconds(s.WarmupSeconds),
 		BroadcastPeriod: sim.FromSeconds(s.BroadcastPeriodSeconds),
 	}
-	cfg.QMA.Learn = s.Learn.internal()
-	cfg.QMA.Table = scenario.TableKind(s.Table)
+	if s.MAC.canonical() == QMA {
+		cfg.MACOptions = core.Options{Learn: s.Learn.internal(), Table: core.TableKind(s.Table)}
+	}
 	for _, p := range s.Phases {
 		cfg.Phases = append(cfg.Phases, traffic.Phase{Rate: p.Rate, Duration: sim.FromSeconds(p.Seconds)})
 	}

@@ -27,11 +27,12 @@ type Config struct {
 	// Rng drives exploration decisions; required.
 	Rng *sim.Rand
 	// StartupSubslots is Δ, the number of subslots of cautious startup
-	// (§4.3). Negative selects the default of two full frames; 0 disables
+	// (§4.3). 0 selects the default of two full frames; negative disables
 	// cautious startup.
 	StartupSubslots int
 	// StartupPunish applies the §4.3 punishments to QCCA/QSend for subslots
-	// with overheard traffic. DefaultConfig enables it.
+	// with overheard traffic. NewFromOptions enables it unless
+	// Options.DisableStartupPunish is set.
 	StartupPunish bool
 	// ReevalOnDecay is the ablation switch forwarded to the learner.
 	ReevalOnDecay bool
@@ -152,8 +153,11 @@ func New(cfg Config) *Engine {
 	if explorer == nil {
 		explorer = qlearn.NewParameterBased()
 	}
-	if cfg.StartupSubslots < 0 {
+	switch {
+	case cfg.StartupSubslots == 0:
 		cfg.StartupSubslots = 2 * subslots
+	case cfg.StartupSubslots < 0:
+		cfg.StartupSubslots = 0
 	}
 
 	e := &Engine{

@@ -32,13 +32,14 @@ func newRig(t *testing.T, links [][2]int, n int, mut func(i int, c *Config)) *ri
 	for i := 0; i < n; i++ {
 		cfg := Config{
 			MAC: mac.Config{
-				ID:     frame.NodeID(i),
-				Kernel: k,
-				Medium: m,
-				Clock:  clock,
+				ID:         frame.NodeID(i),
+				Kernel:     k,
+				Medium:     m,
+				Clock:      clock,
+				MaxRetries: -1, // no retransmissions
 			},
 			Rng:             sim.NewRandStream(42, uint64(i)),
-			StartupSubslots: 0, // disabled unless a test enables it
+			StartupSubslots: -1, // disabled unless a test enables it
 		}
 		if mut != nil {
 			mut(i, &cfg)

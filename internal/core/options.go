@@ -24,7 +24,8 @@ const (
 )
 
 // Options tunes the QMA engines of a scenario. It is the registry options
-// type for the "qma" protocol (scenario.QMAOptions aliases it).
+// type for the "qma" protocol; the zero value (like nil) selects the paper's
+// defaults.
 type Options struct {
 	// Learn are the hyperparameters (zero value selects the paper's
 	// α=0.5, γ=0.9, ξ=2).
@@ -33,8 +34,8 @@ type Options struct {
 	Table TableKind
 	// Explorer decides ρ; nil selects parameter-based exploration (Fig. 4).
 	Explorer qlearn.Explorer
-	// StartupSubslots is Δ; negative selects the engine default, 0 disables
-	// cautious startup.
+	// StartupSubslots is Δ; 0 selects the default of two frames, negative
+	// disables cautious startup.
 	StartupSubslots int
 	// DisableStartupPunish turns off the §4.3 QCCA/QSend punishments.
 	DisableStartupPunish bool
@@ -106,9 +107,8 @@ func validateOptions(opts any) error {
 }
 
 // NewFromOptions builds a QMA engine over macCfg from scenario-level options:
-// it resolves the table representation, the default hyperparameters and the
-// cautious-startup convention (scenario zero value = engine default, negative
-// = disabled) before delegating to New.
+// it resolves the table representation and the default hyperparameters
+// before delegating to New.
 func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 	subslots := macCfg.Clock.Config().Subslots
 	var table qlearn.Table
@@ -128,22 +128,13 @@ func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 		table = qlearn.NewFloatTableOn(subslots, NumActions, learn,
 			scratch.Float64s(subslots*NumActions))
 	}
-	startup := opts.StartupSubslots
-	switch {
-	case startup == 0:
-		// The scenario-level zero value means "engine default"; a
-		// negative value disables cautious startup.
-		startup = -1
-	case startup < 0:
-		startup = 0
-	}
 	return New(Config{
 		MAC:             macCfg,
 		Table:           table,
 		Learn:           learn,
 		Explorer:        opts.Explorer,
 		Rng:             rng,
-		StartupSubslots: startup,
+		StartupSubslots: opts.StartupSubslots,
 		StartupPunish:   !opts.DisableStartupPunish,
 		ReevalOnDecay:   opts.ReevalOnDecay,
 	})

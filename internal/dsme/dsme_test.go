@@ -191,20 +191,38 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 func TestScenarioBudgetAndInvariantChecks(t *testing.T) {
-	// A tiny event budget truncates the run and says so.
-	cfg := twoNodeConfig(scenario.QMA, 3)
-	cfg.EventBudget = 500
-	if res := RunScenario(cfg); !res.Truncated {
-		t.Fatal("500-event budget did not truncate a 180 s DSME run")
+	for _, mk := range []scenario.MACKind{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted} {
+		t.Run(string(mk), func(t *testing.T) {
+			// A tiny event budget truncates the run and says so.
+			cfg := twoNodeConfig(mk, 3)
+			cfg.EventBudget = 500
+			if res := RunScenario(cfg); !res.Truncated {
+				t.Fatal("500-event budget did not truncate a 180 s DSME run")
+			}
+			// With the kernel, medium and frame-pool checkers armed and no
+			// budget, a short run completes cleanly and is not marked
+			// truncated.
+			clean := twoNodeConfig(mk, 3)
+			clean.Duration = 30 * sim.Second
+			clean.Warmup = 10 * sim.Second
+			clean.InvariantChecks = true
+			if res := RunScenario(clean); res.Truncated {
+				t.Error("unbudgeted run reports truncation")
+			}
+		})
 	}
-	// With the invariant checkers armed and no budget, a short run completes
-	// cleanly and is not marked truncated.
-	clean := twoNodeConfig(scenario.QMA, 3)
-	clean.Duration = 30 * sim.Second
-	clean.Warmup = 10 * sim.Second
-	clean.InvariantChecks = true
-	if res := RunScenario(clean); res.Truncated {
-		t.Error("unbudgeted run reports truncation")
+}
+
+// TestCAPEnginesSendOnce pins the CAP retry count: DSME's CAP engines send
+// each frame once (NR = 0), unlike Run's engines, which default to 3.
+func TestCAPEnginesSendOnce(t *testing.T) {
+	for _, mk := range []scenario.MACKind{scenario.QMA, scenario.CSMASlotted, scenario.CSMAUnslotted} {
+		r := buildScenario(twoNodeConfig(mk, 1))
+		for i, node := range r.nodes {
+			if got := node.CAP().Base().MaxRetries(); got != 0 {
+				t.Errorf("%s: node %d CAP engine runs NR=%d, want 0", mk, i, got)
+			}
+		}
 	}
 }
 

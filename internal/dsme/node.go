@@ -202,9 +202,6 @@ func (n *Node) Slots() *SlotMap { return n.slots }
 // Stats returns a copy of the node counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// PrimaryQueue exposes the GTS data queue.
-func (n *Node) PrimaryQueue() *frame.Queue { return n.primary }
-
 // Start arms the CAP engine and the slot controller.
 func (n *Node) Start() {
 	if n.cap == nil {

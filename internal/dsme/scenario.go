@@ -1,16 +1,13 @@
 package dsme
 
 import (
-	"fmt"
 	"time"
 
 	"qma/internal/barring"
 	"qma/internal/frame"
 	"qma/internal/mac"
-	"qma/internal/radio"
 	"qma/internal/scenario"
 	"qma/internal/sim"
-	"qma/internal/superframe"
 	"qma/internal/topo"
 	"qma/internal/traffic"
 )
@@ -25,8 +22,9 @@ type ScenarioConfig struct {
 	Network *topo.Network
 	// MAC selects the CAP channel access scheme.
 	MAC scenario.MACKind
-	// QMA tunes QMA engines (ignored for CSMA runs).
-	QMA scenario.QMAOptions
+	// MACOptions carries the CAP protocol's options value (core.Options for
+	// QMA, ...); nil selects the protocol's defaults.
+	MACOptions any
 	// Seed selects the random streams.
 	Seed uint64
 	// Duration is the total simulated time.
@@ -59,7 +57,8 @@ type ScenarioConfig struct {
 	// names.
 	EventBudget uint64
 	WallBudget  time.Duration
-	// InvariantChecks arms the kernel and medium runtime self-checks.
+	// InvariantChecks arms the kernel, medium and frame-pool runtime
+	// self-checks.
 	InvariantChecks bool
 	// Arena, when non-nil, recycles the run's frame pool and per-node
 	// hot-state slab across back-to-back runs of one worker (see
@@ -85,8 +84,26 @@ type ScenarioResult struct {
 	Truncated bool
 }
 
+// scenarioRun holds the live objects of a DSME run.
+type scenarioRun struct {
+	cfg     ScenarioConfig
+	kernel  *sim.Kernel
+	nodes   []*Node
+	metrics *Metrics
+	// before snapshots the node counters when the measurement window opens.
+	before []NodeStats
+}
+
 // RunScenario executes a DSME data-collection run.
 func RunScenario(cfg ScenarioConfig) *ScenarioResult {
+	r := buildScenario(cfg)
+	r.kernel.Run(r.cfg.Duration)
+	return r.result()
+}
+
+// buildScenario assembles the substrate, the nodes with their CAP engines,
+// the traffic and the warm-up hook.
+func buildScenario(cfg ScenarioConfig) *scenarioRun {
 	if cfg.Network == nil {
 		panic("dsme: Network is required")
 	}
@@ -106,22 +123,18 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		cfg.TrafficStart = 5 * sim.Second
 	}
 
-	kernel := sim.NewKernel()
-	clock := superframe.NewClock(superframe.DefaultConfig())
-	medium := radio.NewMedium(kernel, cfg.Network.Topology, sim.NewRandStream(cfg.Seed, 1000))
-	if cfg.EventBudget > 0 || cfg.WallBudget > 0 {
-		kernel.SetBudget(cfg.EventBudget, cfg.WallBudget)
-	}
-	if cfg.InvariantChecks {
-		kernel.SetInvariantChecks(true)
-		medium.SetInvariantChecks(true)
-	}
+	sub := scenario.NewSubstrate(scenario.Config{
+		// CAP engines send each frame once (NR = 0).
+		MaxRetries:      -1,
+		Seed:            cfg.Seed,
+		Barring:         cfg.Barring,
+		EventBudget:     cfg.EventBudget,
+		WallBudget:      cfg.WallBudget,
+		InvariantChecks: cfg.InvariantChecks,
+		Arena:           cfg.Arena,
+	}, cfg.Network.Topology)
+	kernel := sub.Kernel
 	metrics := &Metrics{}
-	pool := &frame.Pool{}
-	scratch := &mac.Scratch{}
-	if cfg.Arena != nil {
-		pool, scratch = cfg.Arena.Begin()
-	}
 
 	n := cfg.Network.NumNodes()
 	nodes := make([]*Node, n)
@@ -131,58 +144,38 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		node := NewNode(NodeConfig{
 			ID:         id,
 			Kernel:     kernel,
-			Medium:     medium,
-			Clock:      clock,
+			Medium:     sub.Medium,
+			Clock:      sub.Clock,
 			Parent:     cfg.Network.Parent[i],
 			Sink:       cfg.Network.Sink,
-			Rng:        sim.NewRandStream(cfg.Seed, 5000+uint64(i)),
+			Rng:        sub.Stream(scenario.StreamDSME, id),
 			MaxTxSlots: cfg.MaxTxSlots,
 			Metrics:    metrics,
-			FramePool:  pool,
+			FramePool:  sub.Pool,
 		})
-		// Like internal/scenario, the barring RNG stream (4000+id) only
-		// exists when barring is configured, keeping zero-valued configs
-		// byte-identical.
-		var barringRng *sim.Rand
-		if cfg.Barring.Enabled() {
-			barringRng = sim.NewRandStream(cfg.Seed, 4000+uint64(i))
-		}
-		engine := scenario.BuildEngine(cfg.MAC, scenario.DefaultQMAOptions(cfg.MAC, cfg.QMA), mac.Config{
-			ID:         id,
-			Kernel:     kernel,
-			Medium:     medium,
-			Clock:      clock,
-			OnCommand:  node.CommandHook(),
-			FramePool:  pool,
-			Scratch:    scratch,
-			BarringRng: barringRng,
-		}, sim.NewRandStream(cfg.Seed, uint64(i)))
+		macCfg := sub.MACConfig(id)
+		macCfg.OnCommand = node.CommandHook()
+		engine := sub.Engine(cfg.MAC, cfg.MACOptions, macCfg)
 		node.AttachCAP(engine)
 		nodes[i] = node
 		caps[i] = engine
-		medium.Attach(id, node)
+		sub.Medium.Attach(id, node)
 	}
 	for _, node := range nodes {
 		node.Start()
 	}
-
-	if cfg.Barring.Enabled() {
-		if err := cfg.Barring.Validate(); err != nil {
-			panic(fmt.Sprintf("dsme: %v", err))
-		}
-		// The barring factor rides the beacon: once per beacon interval the
-		// sink folds the congestion it observed on the medium into the
-		// controller and the nodes pick the new factor up with the beacon.
-		scenario.ArmBarring(kernel, medium, cfg.Network.Sink, clock.Config().SuperframeDuration(), cfg.Barring, caps)
-	}
+	// The barring factor rides the beacon: once per beacon interval the sink
+	// folds the congestion it observed on the medium into the controller and
+	// the nodes pick the new factor up with the beacon.
+	sub.ArmBarring(cfg.Network.Sink, caps)
 
 	// Secondary background traffic: periodic route-discovery broadcasts.
 	for i := 0; i < n; i++ {
 		b := &traffic.BroadcastSource{
 			Kernel:  kernel,
-			Rng:     sim.NewRandStream(cfg.Seed, 3000+uint64(i)),
+			Rng:     sub.Stream(scenario.StreamBroadcast, frame.NodeID(i)),
 			Target:  nodes[i].CAP(),
-			Pool:    pool,
+			Pool:    sub.Pool,
 			Origin:  frame.NodeID(i),
 			Period:  cfg.BroadcastPeriod,
 			StartAt: 2 * sim.Second,
@@ -200,7 +193,7 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		}
 		src := &traffic.Source{
 			Kernel: kernel,
-			Rng:    sim.NewRandStream(cfg.Seed, 2000+uint64(i)),
+			Rng:    sub.Stream(scenario.StreamTraffic, frame.NodeID(i)),
 			Target: nodes[i],
 			Origin: frame.NodeID(i),
 			Sink:   cfg.Network.Sink,
@@ -214,35 +207,38 @@ func RunScenario(cfg ScenarioConfig) *ScenarioResult {
 		src.Start()
 	}
 
-	var before []NodeStats
+	r := &scenarioRun{cfg: cfg, kernel: kernel, nodes: nodes, metrics: metrics}
 	kernel.At(cfg.Warmup, func() {
 		metrics.SetMeasuring(true)
-		before = make([]NodeStats, n)
+		r.before = make([]NodeStats, n)
 		for i, node := range nodes {
-			before[i] = node.Stats()
+			r.before[i] = node.Stats()
 		}
 	})
+	return r
+}
 
-	kernel.Run(cfg.Duration)
-
+// result collects the §6.3 metrics of a finished run.
+func (r *scenarioRun) result() *ScenarioResult {
+	n := len(r.nodes)
 	res := &ScenarioResult{
-		Metrics:    *metrics,
+		Metrics:    *r.metrics,
 		Nodes:      make([]NodeStats, n),
 		CAP:        make([]mac.Stats, n),
 		SlotsOwned: make([]int, n),
-		Truncated:  kernel.BudgetExhausted(),
+		Truncated:  r.kernel.BudgetExhausted(),
 	}
 	var completed uint64
-	for i, node := range nodes {
+	for i, node := range r.nodes {
 		res.Nodes[i] = node.Stats()
 		res.CAP[i] = node.CAP().Base().Stats()
 		res.SlotsOwned[i] = node.Slots().Count(SlotTX)
 		completed += res.Nodes[i].AllocCompleted + res.Nodes[i].DeallocCompleted
-		if before != nil {
-			completed -= before[i].AllocCompleted + before[i].DeallocCompleted
+		if r.before != nil {
+			completed -= r.before[i].AllocCompleted + r.before[i].DeallocCompleted
 		}
 	}
-	measured := cfg.Duration - cfg.Warmup
+	measured := r.cfg.Duration - r.cfg.Warmup
 	if measured > 0 {
 		res.AllocationsPerSecond = float64(completed) / measured.Seconds()
 	}

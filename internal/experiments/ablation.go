@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"qma/internal/core"
 	"qma/internal/qlearn"
 	"qma/internal/scenario"
 	"qma/internal/sim"
@@ -30,7 +31,7 @@ func RunAblations(mode Mode) []*Table {
 
 	type variant struct {
 		name string
-		opts scenario.QMAOptions
+		opts core.Options
 	}
 	paperLearn := qlearn.DefaultParams()
 	noXi := paperLearn
@@ -38,23 +39,23 @@ func RunAblations(mode Mode) []*Table {
 	optimistic := paperLearn
 	optimistic.Rule = qlearn.RuleOptimistic
 	variants := []variant{
-		{"paper defaults (parameter-based, float, ξ=2, startup)", scenario.QMAOptions{}},
-		{"ε-greedy exploration (ε₀=0.3, half-life 30 s)", scenario.QMAOptions{
+		{"paper defaults (parameter-based, float, ξ=2, startup)", core.Options{}},
+		{"ε-greedy exploration (ε₀=0.3, half-life 30 s)", core.Options{
 			Explorer: &qlearn.EpsilonGreedy{Eps0: 0.3, HalfLife: 30 * sim.Second, Min: 0.001}}},
-		{"constant exploration (ε=0.05)", scenario.QMAOptions{
+		{"constant exploration (ε=0.05)", core.Options{
 			Explorer: qlearn.Constant{Eps: 0.05}}},
-		{"fixed-point Q8.8 table (§3.2)", scenario.QMAOptions{Table: scenario.TableFixed}},
-		{"8-bit quantized table (§7)", scenario.QMAOptions{Table: scenario.TableQuant}},
-		{"no cautious startup", scenario.QMAOptions{StartupSubslots: -1}},
-		{"no ξ penalty (Eq. 5 with ξ=0)", scenario.QMAOptions{Learn: noXi}},
-		{"pure optimistic rule (Eq. 2, no ξ, α=1)", scenario.QMAOptions{Learn: optimistic}},
-		{"policy re-evaluation on decay", scenario.QMAOptions{ReevalOnDecay: true}},
+		{"fixed-point Q8.8 table (§3.2)", core.Options{Table: core.TableFixed}},
+		{"8-bit quantized table (§7)", core.Options{Table: core.TableQuant}},
+		{"no cautious startup", core.Options{StartupSubslots: -1}},
+		{"no ξ penalty (Eq. 5 with ξ=0)", core.Options{Learn: noXi}},
+		{"pure optimistic rule (Eq. 2, no ξ, α=1)", core.Options{Learn: optimistic}},
+		{"policy re-evaluation on decay", core.Options{ReevalOnDecay: true}},
 	}
 
 	ests, repErrs := runGrid(len(variants), mode.Reps, mode.Parallel,
 		func(arena *scenario.Arena, cell int, seed uint64) map[string]float64 {
 			cfg := hiddenNodeConfig(scenario.QMA, 25, mode, seed)
-			cfg.QMA = variants[cell].opts
+			cfg.MACOptions = variants[cell].opts
 			cfg.Arena = arena
 			res := scenario.Run(cfg)
 			return map[string]float64{

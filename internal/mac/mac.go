@@ -145,7 +145,8 @@ type Config struct {
 	Clock *superframe.Clock
 	// QueueCap bounds the transmit queue (<=0 selects the paper's 8).
 	QueueCap int
-	// MaxRetries is NR (<0 selects DefaultMaxRetries; 0 means no retries).
+	// MaxRetries is NR (0 selects DefaultMaxRetries; negative disables
+	// retransmissions).
 	MaxRetries int
 	// Router enables multi-hop forwarding (nil for single-hop scenarios).
 	Router Router
@@ -304,8 +305,11 @@ func NewBase(cfg Config) *Base {
 	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Clock == nil {
 		panic("mac: Kernel, Medium and Clock are required")
 	}
-	if cfg.MaxRetries < 0 {
+	switch {
+	case cfg.MaxRetries == 0:
 		cfg.MaxRetries = DefaultMaxRetries
+	case cfg.MaxRetries < 0:
+		cfg.MaxRetries = 0
 	}
 	if cfg.NeighborStaleAfter <= 0 {
 		cfg.NeighborStaleAfter = 16 * cfg.Clock.Config().SuperframeDuration()
@@ -455,12 +459,6 @@ func (b *Base) AccessBarred() (barred bool, retryAt sim.Time) {
 	b.barUntil = now + wait
 	return true, b.barUntil
 }
-
-// Down reports whether the node is inside an outage window.
-func (b *Base) Down() bool { return b.downUntil > b.cfg.Kernel.Now() }
-
-// Desynced reports whether the node has lost beacon synchronization.
-func (b *Base) Desynced() bool { return b.desyncUntil > b.cfg.Kernel.Now() }
 
 // Rebooter is implemented by engines that support the power-cycle fault of
 // internal/faults. Reboot must wipe all volatile protocol state — learning

@@ -29,10 +29,10 @@ func newRig(t *testing.T, n int, cfgs []Config) *rig {
 	clock := superframe.NewClock(superframe.DefaultConfig())
 	r := &rig{k: k, m: m}
 	for i := 0; i < n; i++ {
-		cfg := Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1}
+		cfg := Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock}
 		if i < len(cfgs) {
 			c := cfgs[i]
-			c.ID, c.Kernel, c.Medium, c.Clock, c.MaxRetries = frame.NodeID(i), k, m, clock, -1
+			c.ID, c.Kernel, c.Medium, c.Clock = frame.NodeID(i), k, m, clock
 			cfg = c
 		}
 		b := NewBase(cfg)

@@ -35,6 +35,22 @@ func TestMatrixMatchesClosedForm(t *testing.T) {
 	}
 }
 
+// TestFastPathMatchesExpectedSteps pins the pooled fast path to the Eq. 12
+// reference: ExpectedHandshakeMessages(p) sums the start row of the
+// fundamental matrix in the same order as ExpectedSteps, so the two agree
+// bit for bit.
+func TestFastPathMatchesExpectedSteps(t *testing.T) {
+	for _, p := range []float64{0.01, 0.05, 0.1, 0.25, 1.0 / 3, 0.5, 0.77, 0.9, 0.99, 1} {
+		steps, err := HandshakeChain(p).ExpectedSteps()
+		if err != nil {
+			t.Fatalf("p=%v: %v", p, err)
+		}
+		if got, want := ExpectedHandshakeMessages(p), steps[0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("p=%v: fast path %v (%#x), ExpectedSteps()[0] %v (%#x)", p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // TestMonteCarloAgrees cross-checks against a third, simulation-based
 // estimate.
 func TestMonteCarloAgrees(t *testing.T) {

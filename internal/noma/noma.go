@@ -128,8 +128,8 @@ type Config struct {
 	Explorer qlearn.Explorer
 	// Rng drives exploration decisions; required.
 	Rng *sim.Rand
-	// StartupSubslots is Δ, the cautious-startup window (§4.3). Negative
-	// selects the default of two full frames; 0 disables it.
+	// StartupSubslots is Δ, the cautious-startup window (§4.3). 0 selects
+	// the default of two full frames; negative disables it.
 	StartupSubslots int
 	// StartupPunish applies the §4.3 punishments (all power levels of the
 	// CCA and Send kinds) to subslots with overheard traffic.
@@ -242,8 +242,11 @@ func New(cfg Config) *Engine {
 	if explorer == nil {
 		explorer = qlearn.NewParameterBased()
 	}
-	if cfg.StartupSubslots < 0 {
+	switch {
+	case cfg.StartupSubslots == 0:
 		cfg.StartupSubslots = 2 * subslots
+	case cfg.StartupSubslots < 0:
+		cfg.StartupSubslots = 0
 	}
 
 	e := &Engine{

@@ -34,7 +34,7 @@ func newRig(t *testing.T, links [][2]int, n int, opts Options, startupSubslots i
 	r := &rig{k: k, m: m, clock: clock}
 	for i := 0; i < n; i++ {
 		e := New(Config{
-			MAC:             mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock, MaxRetries: -1},
+			MAC:             mac.Config{ID: frame.NodeID(i), Kernel: k, Medium: m, Clock: clock},
 			Levels:          opts.Levels,
 			LevelStepDB:     opts.LevelStepDB,
 			Learn:           opts.Learn,
@@ -157,7 +157,7 @@ func TestSuccessBonusPerLevel(t *testing.T) {
 // parameter-based exploration) on an idle channel: every queued frame must
 // eventually be delivered.
 func TestEndToEndDelivery(t *testing.T) {
-	r := newRig(t, [][2]int{{0, 1}}, 2, Options{}, -1)
+	r := newRig(t, [][2]int{{0, 1}}, 2, Options{}, 0)
 	for i := 0; i < 20; i++ {
 		f := dataTo(1, 0, uint32(i+1))
 		r.k.Schedule(sim.Time(i)*100*sim.Millisecond, func() { r.engines[0].Enqueue(f) })
@@ -173,7 +173,7 @@ func TestEndToEndDelivery(t *testing.T) {
 
 // TestActionSpaceRoundTrip pins the kind/level flattening.
 func TestActionSpaceRoundTrip(t *testing.T) {
-	r := newRig(t, [][2]int{{0, 1}}, 2, Options{Levels: 3}, -1)
+	r := newRig(t, [][2]int{{0, 1}}, 2, Options{Levels: 3}, 0)
 	e := r.engines[0]
 	if e.actions != 9 {
 		t.Fatalf("K=3 action space is %d, want 9", e.actions)
@@ -243,7 +243,7 @@ func TestNewFromOptionsThroughRegistry(t *testing.T) {
 	k := sim.NewKernel()
 	m := radio.NewMedium(k, g, sim.NewRand(1))
 	clock := superframe.NewClock(superframe.DefaultConfig())
-	cfg := mac.Config{ID: 0, Kernel: k, Medium: m, Clock: clock}
+	cfg := mac.Config{ID: 0, Kernel: k, Medium: m, Clock: clock, MaxRetries: -1}
 
 	eng, err := mac.Build(Proto, cfg, Options{Levels: 3, StartupSubslots: -1}, sim.NewRand(2))
 	if err != nil {

@@ -25,8 +25,8 @@ type Options struct {
 	Learn qlearn.Params
 	// Explorer decides ρ; nil selects parameter-based exploration.
 	Explorer qlearn.Explorer
-	// StartupSubslots is Δ (0 = engine default, negative = disabled),
-	// following the scenario-level convention of core.Options.
+	// StartupSubslots is Δ (0 = two frames, negative = disabled), the
+	// convention of core.Options.
 	StartupSubslots int
 	// DisableStartupPunish turns off the §4.3 punishments.
 	DisableStartupPunish bool
@@ -106,16 +106,8 @@ func adoptExplorer(opts any, explorer qlearn.Explorer) any {
 }
 
 // NewFromOptions builds a NOMA engine over macCfg from scenario-level
-// options, resolving the cautious-startup convention (0 = engine default,
-// negative = disabled) like core.NewFromOptions does for QMA.
+// options.
 func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
-	startup := opts.StartupSubslots
-	switch {
-	case startup == 0:
-		startup = -1
-	case startup < 0:
-		startup = 0
-	}
 	return New(Config{
 		MAC:             macCfg,
 		Levels:          opts.Levels,
@@ -123,7 +115,7 @@ func NewFromOptions(opts Options, macCfg mac.Config, rng *sim.Rand) *Engine {
 		Learn:           opts.Learn,
 		Explorer:        opts.Explorer,
 		Rng:             rng,
-		StartupSubslots: startup,
+		StartupSubslots: opts.StartupSubslots,
 		StartupPunish:   !opts.DisableStartupPunish,
 	})
 }

@@ -227,13 +227,3 @@ func (t *FloatTable) Reset() {
 
 // MemoryBytes implements Table: 8 bytes per entry.
 func (t *FloatTable) MemoryBytes() int { return len(t.q) * 8 }
-
-// Snapshot returns a copy of the Q-values as a [states][actions] matrix, for
-// inspection and golden tests (Fig. 5).
-func (t *FloatTable) Snapshot() [][]float64 {
-	out := make([][]float64, t.states)
-	for s := range out {
-		out[s] = append([]float64(nil), t.row(s)...)
-	}
-	return out
-}

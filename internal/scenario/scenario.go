@@ -26,6 +26,7 @@ import (
 
 // MACKind selects the channel access scheme under test by its registry key
 // (see internal/mac's protocol registry). The empty string selects QMA.
+// perfbench (module qma/perfbench) names this type, so it stays.
 type MACKind = mac.Name
 
 // Registry keys of the protocols every evaluation track compares. Further
@@ -39,21 +40,6 @@ const (
 	// CSMASlotted is the slotted CSMA/CA baseline.
 	CSMASlotted MACKind = csma.ProtoSlotted
 )
-
-// TableKind selects the Q-value storage for QMA nodes.
-type TableKind = core.TableKind
-
-const (
-	// TableFloat is the float64 reference table.
-	TableFloat = core.TableFloat
-	// TableFixed is the Q8.8 integer table (§3.2 embedded variant).
-	TableFixed = core.TableFixed
-	// TableQuant is the 8-bit saturating table (§7 future-work variant).
-	TableQuant = core.TableQuant
-)
-
-// QMAOptions tunes the QMA engines of a scenario.
-type QMAOptions = core.Options
 
 // TrafficSpec attaches a Poisson data source to a node.
 type TrafficSpec struct {
@@ -132,11 +118,9 @@ type Config struct {
 	Network *topo.Network
 	// MAC selects the channel access scheme by registry key ("" = QMA).
 	MAC MACKind
-	// QMA tunes QMA engines (ignored for other protocols).
-	QMA QMAOptions
-	// MACOptions carries protocol-specific options for non-QMA protocols
-	// (e.g. csma.Options, aloha.Options, bandit.Options); nil selects the
-	// protocol's defaults. When set it also overrides QMA for QMA runs.
+	// MACOptions carries the protocol's options value (core.Options for
+	// QMA, csma.Options, aloha.Options, ...); nil selects the protocol's
+	// defaults.
 	MACOptions any
 	// CaptureThresholdDB enables receiver-side SINR capture on the medium:
 	// the strongest of several overlapping frames still decodes when its
@@ -352,12 +336,7 @@ func (r *Result) MeanQueueLevel(ids ...frame.NodeID) float64 {
 
 // run holds the live objects during a simulation.
 type run struct {
-	cfg     Config
-	kernel  *sim.Kernel
-	pool    *frame.Pool
-	scratch *mac.Scratch
-	clock   *superframe.Clock
-	medium  *radio.Medium
+	*Substrate
 	engines []mac.Engine
 	qma     []*core.Engine // nil entries for CSMA runs
 	result  *Result
@@ -380,12 +359,12 @@ type Output struct {
 // RunWithEngines is Run, additionally exposing the engines.
 func RunWithEngines(cfg Config) *Output {
 	r := build(cfg)
-	r.kernel.Run(cfg.Duration)
+	r.Kernel.Run(cfg.Duration)
 	r.collect()
 	return &Output{Result: r.result, Engines: r.engines}
 }
 
-// build assembles kernel, medium, engines, traffic and instrumentation.
+// build assembles the substrate, engines, traffic and instrumentation.
 func build(cfg Config) *run {
 	if cfg.Network == nil {
 		panic("scenario: Network is required")
@@ -393,19 +372,8 @@ func build(cfg Config) *run {
 	if cfg.Duration <= 0 {
 		panic("scenario: Duration must be positive")
 	}
-	sfCfg := cfg.Superframe
-	if sfCfg == (superframe.Config{}) {
-		sfCfg = superframe.DefaultConfig()
-	}
-	clock := superframe.NewClock(sfCfg)
-	kernel := sim.NewKernel()
 	n := cfg.Network.NumNodes()
 
-	// Stream layout: 0..n-1 engines, 1000 medium, 2000+i traffic,
-	// 3000+i broadcasts, 4000+i access-barring gates (only drawn from when
-	// barring is configured); the Gilbert–Elliott process derives per-link
-	// streams of its own from the seed. Fixed offsets keep every consumer's
-	// stream stable when instrumentation is added or removed.
 	topology := cfg.Network.Topology
 	if len(cfg.Dynamics.Moves) > 0 {
 		// Moves mutate positions; run on a private clone so the Network
@@ -421,27 +389,14 @@ func build(cfg Config) *run {
 		}
 		topology = clone
 	}
-	medium := radio.NewMedium(kernel, topology, sim.NewRandStream(cfg.Seed, 1000))
-	if cfg.CaptureThresholdDB > 0 {
-		medium.SetCaptureThreshold(cfg.CaptureThresholdDB)
-	}
-	if cfg.EventBudget > 0 || cfg.WallBudget > 0 {
-		kernel.SetBudget(cfg.EventBudget, cfg.WallBudget)
-	}
-	if cfg.InvariantChecks {
-		kernel.SetInvariantChecks(true)
-		medium.SetInvariantChecks(true)
-	}
+	sub := NewSubstrate(cfg, topology)
+	// The Gilbert–Elliott process derives per-link streams of its own from
+	// the seed.
 	if cfg.Dynamics.Enabled() {
-		armDynamics(kernel, medium, cfg.Dynamics, cfg.Seed)
+		armDynamics(sub.Kernel, sub.Medium, cfg.Dynamics, cfg.Seed)
 	}
 
-	pool := &frame.Pool{}
-	scratch := &mac.Scratch{}
-	if cfg.Arena != nil {
-		pool, scratch = cfg.Arena.Begin()
-	}
-	result := &Result{Clock: clock, Duration: cfg.Duration}
+	result := &Result{Clock: sub.Clock, Duration: cfg.Duration}
 	if cfg.SummaryOnly {
 		if cfg.SamplePeriod > 0 {
 			panic("scenario: SummaryOnly is incompatible with SamplePeriod (per-node series need per-node results)")
@@ -451,15 +406,10 @@ func build(cfg Config) *run {
 		result.Nodes = make([]NodeResult, n)
 	}
 	r := &run{
-		cfg:     cfg,
-		kernel:  kernel,
-		pool:    pool,
-		scratch: scratch,
-		clock:   clock,
-		medium:  medium,
-		engines: make([]mac.Engine, n),
-		qma:     make([]*core.Engine, n),
-		result:  result,
+		Substrate: sub,
+		engines:   make([]mac.Engine, n),
+		qma:       make([]*core.Engine, n),
+		result:    result,
 	}
 
 	for i := 0; i < n; i++ {
@@ -467,11 +417,11 @@ func build(cfg Config) *run {
 		if !cfg.SummaryOnly {
 			r.result.Nodes[i] = NodeResult{ID: id, Label: cfg.Network.Label(id)}
 		}
-		r.engines[i] = r.buildEngine(id)
-		medium.Attach(id, r.engines[i])
-	}
-	if cfg.InvariantChecks {
-		r.pool.SetChecks(true)
+		r.engines[i] = r.Engine(cfg.MAC, cfg.MACOptions, r.macConfig(id))
+		if q, ok := r.engines[i].(*core.Engine); ok {
+			r.qma[i] = q
+		}
+		r.Medium.Attach(id, r.engines[i])
 	}
 	for i := range r.engines {
 		r.engines[i].Start()
@@ -480,16 +430,11 @@ func build(cfg Config) *run {
 		if err := cfg.Faults.Validate(n); err != nil {
 			panic(fmt.Sprintf("scenario: %v", err))
 		}
-		armFaults(kernel, clock, r.engines, cfg.Faults)
+		armFaults(r.Kernel, r.Clock, r.engines, cfg.Faults)
 	}
-	if cfg.Barring.Enabled() {
-		if err := cfg.Barring.Validate(); err != nil {
-			panic(fmt.Sprintf("scenario: %v", err))
-		}
-		ArmBarring(kernel, medium, cfg.Network.Sink, clock.Config().SuperframeDuration(), cfg.Barring, r.engines)
-	}
+	r.ArmBarring(cfg.Network.Sink, r.engines)
 	if cfg.MeasureFrom > 0 {
-		kernel.At(cfg.MeasureFrom, func() {
+		r.Kernel.At(cfg.MeasureFrom, func() {
 			for _, e := range r.engines {
 				e.Base().ResetQueueIntegral()
 			}
@@ -584,146 +529,27 @@ func armFaults(kernel *sim.Kernel, clock *superframe.Clock, engines []mac.Engine
 	}
 }
 
-// ArmBarring installs the sink-side access-class barring loop on kernel:
-// once per beacon interval (cfg.Interval, default one superframe sfd,
-// matching the simulator's implicit beacon at each superframe start) the
-// sink diffs the congestion counters it observes on medium — deliveries,
-// collisions, captures and raw channel airtime — into a barring.Observation,
-// runs the configured controller over it, and pushes the resulting barring
-// factor (with cfg.Backoff, default sfd) to every engine's MAC base as the
-// beacon payload. The loop itself draws no randomness; all barring
-// randomness lives in the nodes' dedicated per-node streams (4000+id).
-// Callers validate cfg first. Run and the DSME scenario share this loop.
-func ArmBarring(kernel *sim.Kernel, medium *radio.Medium, sink frame.NodeID, sfd sim.Time, cfg barring.Config, engines []mac.Engine) {
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = sfd
-	}
-	backoff := cfg.Backoff
-	if backoff <= 0 {
-		backoff = sfd
-	}
-	ctrl := barring.New(cfg)
-	var prev radio.NodeStats
-	var prevAir sim.Time
-	var tick func()
-	tick = func() {
-		cur := medium.Stats(sink)
-		_, air := medium.ChannelLoad()
-		obs := barring.Observation{
-			Delivered:    cur.RxDelivered - prev.RxDelivered,
-			Collided:     cur.RxCollided - prev.RxCollided,
-			Captured:     cur.RxCaptured - prev.RxCaptured,
-			BusyFraction: float64(air-prevAir) / float64(interval),
-		}
-		prev, prevAir = cur, air
-		p := ctrl.Update(obs)
-		for _, e := range engines {
-			e.Base().SetBarring(p, backoff)
-		}
-		kernel.Schedule(interval, tick)
-	}
-	kernel.Schedule(interval, tick)
-}
-
+// macConfig adds Run's routing and sink accounting to the shared fields.
 func (r *run) macConfig(id frame.NodeID) mac.Config {
-	retries := r.cfg.MaxRetries
-	switch {
-	case retries == 0:
-		retries = -1 // mac default (3)
-	case retries < 0:
-		retries = 0 // disabled
+	c := r.MACConfig(id)
+	c.Router = r.cfg.Network
+	c.OnSinkDeliver = func(f *frame.Frame) {
+		if f.Tag != frame.TagEval || f.Kind != frame.Data {
+			return
+		}
+		if s := r.result.Summary; s != nil {
+			s.Delivered++
+			s.DelaySum += r.Kernel.Now() - f.CreatedAt
+		} else {
+			origin := &r.result.Nodes[f.Origin]
+			origin.Delivered++
+			origin.DelaySum += r.Kernel.Now() - f.CreatedAt
+		}
+		if r.cfg.OnEvalDeliver != nil {
+			r.cfg.OnEvalDeliver(f.Origin, f.CreatedAt, r.Kernel.Now())
+		}
 	}
-	// The barring RNG stream only exists when barring is configured: a
-	// zero-valued Barring config must leave every node's stream set — and
-	// therefore the whole run — byte-identical to a pre-barring build.
-	var barringRng *sim.Rand
-	if r.cfg.Barring.Enabled() {
-		barringRng = sim.NewRandStream(r.cfg.Seed, 4000+uint64(id))
-	}
-	return mac.Config{
-		ID:           id,
-		Kernel:       r.kernel,
-		Medium:       r.medium,
-		Clock:        r.clock,
-		QueueCap:     r.cfg.QueueCap,
-		MaxRetries:   retries,
-		Router:       r.cfg.Network,
-		FramePool:    r.pool,
-		Scratch:      r.scratch,
-		SummaryOnly:  r.cfg.SummaryOnly,
-		BarringRng:   barringRng,
-		Drop:         r.cfg.DropPolicy,
-		DropDeadline: r.cfg.DropDeadline,
-		OnSinkDeliver: func(f *frame.Frame) {
-			if f.Tag != frame.TagEval || f.Kind != frame.Data {
-				return
-			}
-			if s := r.result.Summary; s != nil {
-				s.Delivered++
-				s.DelaySum += r.kernel.Now() - f.CreatedAt
-			} else {
-				origin := &r.result.Nodes[f.Origin]
-				origin.Delivered++
-				origin.DelaySum += r.kernel.Now() - f.CreatedAt
-			}
-			if r.cfg.OnEvalDeliver != nil {
-				r.cfg.OnEvalDeliver(f.Origin, f.CreatedAt, r.kernel.Now())
-			}
-		},
-	}
-}
-
-func (r *run) buildEngine(id frame.NodeID) mac.Engine {
-	rng := sim.NewRandStream(r.cfg.Seed, uint64(id))
-	opts := r.cfg.MACOptions
-	if opts == nil {
-		opts = DefaultQMAOptions(r.cfg.MAC, r.cfg.QMA)
-	}
-	e := BuildEngine(r.cfg.MAC, opts, r.macConfig(id), rng)
-	if q, ok := e.(*core.Engine); ok {
-		r.qma[id] = q
-	}
-	return e
-}
-
-// DefaultQMAOptions resolves the Config.QMA convenience fallback: configs
-// carry a QMAOptions value unconditionally, but it only applies when the
-// selected protocol actually is QMA — every other protocol defaults (nil).
-// Keeping the coercion here, at the fallback call sites, lets BuildEngine
-// reject explicitly misconfigured MACOptions loudly instead of masking them.
-func DefaultQMAOptions(kind MACKind, qmaOpts QMAOptions) any {
-	if kind == "" {
-		return qmaOpts
-	}
-	if p, ok := mac.Lookup(string(kind)); ok && p.Name == string(QMA) {
-		return qmaOpts
-	}
-	return nil
-}
-
-// BuildEngine constructs a MAC engine of the requested kind over macCfg by
-// resolving the protocol registry. The DSME scenario builder (internal/dsme)
-// shares it so that both evaluation tracks run byte-identical engines.
-//
-// opts carries protocol-specific options (nil = defaults) and must match the
-// protocol's registered options type — handing e.g. QMAOptions to a CSMA run
-// panics via the protocol's Validate. Callers threading a config-level
-// QMAOptions value unconditionally resolve it through DefaultQMAOptions
-// first.
-//
-// It panics on an unknown protocol or rejected options: scenario assembly is
-// programmer-controlled, and the public qma API validates protocol names
-// before reaching this point.
-func BuildEngine(kind MACKind, opts any, macCfg mac.Config, rng *sim.Rand) mac.Engine {
-	if kind == "" {
-		kind = QMA
-	}
-	e, err := mac.Build(string(kind), macCfg, opts, rng)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: %v", err))
-	}
-	return e
+	return c
 }
 
 func (r *run) buildTraffic() {
@@ -742,8 +568,8 @@ func (r *run) buildTraffic() {
 			node = &r.result.Nodes[spec.Origin]
 		}
 		src := &traffic.Source{
-			Kernel:     r.kernel,
-			Rng:        sim.NewRandStream(r.cfg.Seed, 2000+uint64(spec.Origin)+uint64(spec.Tag)*500),
+			Kernel:     r.Kernel,
+			Rng:        r.Stream(StreamTraffic+uint64(spec.Tag)*500, spec.Origin),
 			Target:     r.engines[spec.Origin],
 			Origin:     spec.Origin,
 			Sink:       r.cfg.Network.Sink,
@@ -754,7 +580,7 @@ func (r *run) buildTraffic() {
 			MPDUBytes:  spec.MPDUBytes,
 			Tag:        spec.Tag,
 			Seq:        seqs[spec.Origin],
-			Pool:       r.pool,
+			Pool:       r.Pool,
 			OnGenerate: func(f *frame.Frame) {
 				if f.Tag == frame.TagEval {
 					if node != nil {
@@ -763,7 +589,7 @@ func (r *run) buildTraffic() {
 						r.result.Summary.Generated++
 					}
 					if r.cfg.OnEvalGenerate != nil {
-						r.cfg.OnEvalGenerate(f.Origin, r.kernel.Now())
+						r.cfg.OnEvalGenerate(f.Origin, r.Kernel.Now())
 					}
 				}
 			},
@@ -772,13 +598,13 @@ func (r *run) buildTraffic() {
 	}
 	for _, spec := range r.cfg.Broadcasts {
 		b := &traffic.BroadcastSource{
-			Kernel:  r.kernel,
-			Rng:     sim.NewRandStream(r.cfg.Seed, 3000+uint64(spec.Origin)),
+			Kernel:  r.Kernel,
+			Rng:     r.Stream(StreamBroadcast, spec.Origin),
 			Target:  r.engines[spec.Origin],
 			Origin:  spec.Origin,
 			Period:  spec.Period,
 			StartAt: spec.StartAt,
-			Pool:    r.pool,
+			Pool:    r.Pool,
 		}
 		b.Start()
 	}
@@ -795,7 +621,7 @@ func (r *run) armSampler() {
 	}
 	var tick func()
 	tick = func() {
-		now := r.kernel.Now().Seconds()
+		now := r.Kernel.Now().Seconds()
 		for i, e := range r.engines {
 			node := &r.result.Nodes[i]
 			node.QueueSeries.Add(now, float64(e.Base().Queue().Len()))
@@ -805,24 +631,24 @@ func (r *run) armSampler() {
 				node.Rho.Add(now, rho)
 			}
 		}
-		r.kernel.Schedule(r.cfg.SamplePeriod, tick)
+		r.Kernel.Schedule(r.cfg.SamplePeriod, tick)
 	}
-	r.kernel.Schedule(r.cfg.SamplePeriod, tick)
+	r.Kernel.Schedule(r.cfg.SamplePeriod, tick)
 }
 
 // collect copies the end-of-run counters into the result. SummaryOnly runs
 // collect nothing per node — their totals accumulated during the run.
 func (r *run) collect() {
-	r.result.Events = r.kernel.Processed()
-	r.result.Truncated = r.kernel.BudgetExhausted()
+	r.result.Events = r.Kernel.Processed()
+	r.result.Truncated = r.Kernel.BudgetExhausted()
 	if r.result.Summary != nil {
 		return
 	}
 	for i, e := range r.engines {
 		node := &r.result.Nodes[i]
 		node.MAC = e.Base().Stats()
-		node.Radio = r.medium.Stats(frame.NodeID(i))
-		node.PowerAirtime = r.medium.TxAirtimeByPower(frame.NodeID(i))
+		node.Radio = r.Medium.Stats(frame.NodeID(i))
+		node.PowerAirtime = r.Medium.TxAirtimeByPower(frame.NodeID(i))
 		node.AvgQueueLevel = e.Base().AvgQueueLevel()
 		if q := r.qma[i]; q != nil {
 			node.Engine = q.EngineStats()

@@ -55,8 +55,7 @@ type ShardedConfig struct {
 	City *topo.City
 	// MAC selects the channel access scheme by registry key ("" = QMA).
 	MAC MACKind
-	// QMA tunes QMA engines; MACOptions overrides for any protocol.
-	QMA        QMAOptions
+	// MACOptions carries the protocol's options value (nil = defaults).
 	MACOptions any
 	// QueueCap and MaxRetries mirror Config.
 	QueueCap   int
@@ -321,7 +320,6 @@ func prepareSharded(cfg ShardedConfig) *shardedRun {
 		cellCfg := Config{
 			Network:         net,
 			MAC:             cfg.MAC,
-			QMA:             cfg.QMA,
 			MACOptions:      cfg.MACOptions,
 			QueueCap:        cfg.QueueCap,
 			MaxRetries:      cfg.MaxRetries,
@@ -372,7 +370,7 @@ func prepareSharded(cfg ShardedConfig) *shardedRun {
 		// Record edge-node transmissions for the barrier exchange. The
 		// observer changes no medium state, so interior-only cells (and
 		// 1-cell cities) stay byte-identical to the monolithic run.
-		sc.run.medium.SetTxObserver(func(src frame.NodeID, channel uint8, start, end sim.Time) {
+		sc.run.Medium.SetTxObserver(func(src frame.NodeID, channel uint8, start, end sim.Time) {
 			if len(edgeTargets(c, src)) == 0 {
 				return
 			}
@@ -398,7 +396,7 @@ func (sh *shardedRun) collect() *ShardedResult {
 		cr.Delay = sc.delay
 		cr.Windows = sc.windows.Windows()
 		for i := 0; i < cr.Nodes; i++ {
-			cr.Radio.Accumulate(sc.run.medium.Stats(frame.NodeID(i)))
+			cr.Radio.Accumulate(sc.run.Medium.Stats(frame.NodeID(i)))
 		}
 		cr.Events = sc.run.result.Events
 		cr.Truncated = sc.run.result.Truncated
@@ -515,7 +513,7 @@ func runShardedDep(sh *shardedRun) {
 			sort.Slice(fold, func(a, b int) bool { return fold[a].srcCell < fold[b].srcCell })
 			for _, b := range fold {
 				for _, inj := range b.inj {
-					sc.run.medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
+					sc.run.Medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
 				}
 				res.Cells[c].ForeignBusy += uint64(len(b.inj))
 			}
@@ -525,7 +523,7 @@ func runShardedDep(sh *shardedRun) {
 		if end > cfg.Duration {
 			end = cfg.Duration
 		}
-		sc.run.kernel.Run(end)
+		sc.run.Kernel.Run(end)
 
 		// Publish this epoch's outbox as one tagged batch per target cell,
 		// preserving outbox order within each batch. This runs even when the
@@ -556,7 +554,7 @@ func runShardedDep(sh *shardedRun) {
 			sc.outbox = sc.outbox[:0]
 		}
 
-		ev := sc.run.kernel.Processed()
+		ev := sc.run.Kernel.Processed()
 		delta := ev - sc.prevEvents
 		sc.prevEvents = ev
 
@@ -564,7 +562,7 @@ func runShardedDep(sh *shardedRun) {
 		defer schedMu.Unlock()
 		done[c] = e + 1
 		queued[c] = false
-		exhausted[c] = sc.run.kernel.BudgetExhausted()
+		exhausted[c] = sc.run.Kernel.BudgetExhausted()
 		prio[c] = delta
 		lastWorker[c] = w
 		var pushes []stats.Item

@@ -36,7 +36,7 @@ func runShardedLockstep(sh *shardedRun) {
 	for now := sim.Time(0); now < duration; {
 		allExhausted := true
 		for _, sc := range cells {
-			if !sc.run.kernel.BudgetExhausted() {
+			if !sc.run.Kernel.BudgetExhausted() {
 				allExhausted = false
 				break
 			}
@@ -49,20 +49,20 @@ func runShardedLockstep(sh *shardedRun) {
 			end = duration
 		}
 		for c, sc := range cells {
-			if sc.run.kernel.BudgetExhausted() {
+			if sc.run.Kernel.BudgetExhausted() {
 				continue
 			}
 			for _, inj := range inbox[c] {
-				sc.run.medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
+				sc.run.Medium.ScheduleForeignBusy(inj.node, inj.channel, inj.start, inj.end)
 			}
 			res.Cells[c].ForeignBusy += uint64(len(inbox[c]))
 			inbox[c] = inbox[c][:0]
-			sc.run.kernel.Run(end)
+			sc.run.Kernel.Run(end)
 		}
 		for c, sc := range cells {
 			for _, tx := range sc.outbox {
 				for _, tgt := range sh.edgeTargets(c, tx.src) {
-					if cells[tgt.Cell].run.kernel.BudgetExhausted() {
+					if cells[tgt.Cell].run.Kernel.BudgetExhausted() {
 						continue
 					}
 					// Mirrored one epoch late: the earliest possible start

@@ -29,7 +29,7 @@ func monolithicReference(city *topo.City, cfg ShardedConfig) (*run, *stats.Diges
 	mono := Config{
 		Network:     net,
 		MAC:         cfg.MAC,
-		QMA:         cfg.QMA,
+		MACOptions:  cfg.MACOptions,
 		Seed:        cfg.Seed,
 		Duration:    cfg.Duration,
 		SummaryOnly: true,
@@ -56,7 +56,7 @@ func monolithicReference(city *topo.City, cfg ShardedConfig) (*run, *stats.Diges
 		})
 	}
 	r := build(mono)
-	r.kernel.Run(mono.Duration)
+	r.Kernel.Run(mono.Duration)
 	r.collect()
 	return r, digest, windows
 }
@@ -101,7 +101,7 @@ func TestShardedSingleCellMatchesMonolithic(t *testing.T) {
 	}
 	var monoRadio radio.NodeStats
 	for i := 0; i < city.Cells[0].NumNodes(); i++ {
-		monoRadio.Accumulate(mono.medium.Stats(frame.NodeID(i)))
+		monoRadio.Accumulate(mono.Medium.Stats(frame.NodeID(i)))
 	}
 	if cell.Radio != monoRadio {
 		t.Errorf("radio counters differ:\nsharded    %+v\nmonolithic %+v", cell.Radio, monoRadio)

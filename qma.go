@@ -708,13 +708,13 @@ func (s *Scenario) resolveMACOptions(explorer qlearn.Explorer) (any, error) {
 			return nil, fmt.Errorf("qma: %w", err)
 		}
 		opts = parsed
-	} else {
-		opts = scenario.DefaultQMAOptions(kind, scenario.QMAOptions{
+	} else if p.Name == core.ProtocolName {
+		opts = core.Options{
 			Learn:           s.Learn.internal(),
-			Table:           scenario.TableKind(s.Table),
+			Table:           core.TableKind(s.Table),
 			Explorer:        explorer,
 			StartupSubslots: s.StartupSubslots,
-		})
+		}
 	}
 	if explorer != nil && p.AdoptExplorer != nil {
 		opts = p.AdoptExplorer(opts, explorer)
@@ -740,11 +740,9 @@ func (s *Scenario) Run() (*Result, error) {
 	cfg := scenario.Config{
 		Network: s.Topology.net,
 		MAC:     s.MAC.kind(),
-		// MACOptions carries the fully resolved protocol options for every
-		// protocol — for QMA runs resolveMACOptions already folded the
-		// Learn/Table/Explorer/StartupSubslots convenience fields in, so
-		// Config.QMA (the scenario layer's nil-MACOptions fallback) stays
-		// unset here.
+		// MACOptions carries the fully resolved protocol options — for QMA
+		// runs resolveMACOptions folded the Learn/Table/Explorer/
+		// StartupSubslots convenience fields in.
 		MACOptions:         macOpts,
 		CaptureThresholdDB: s.CaptureThresholdDB,
 		Seed:               s.Seed,
